@@ -9,57 +9,64 @@
 //! ```text
 //! cargo run --release -p dtn-bench --bin perf                 # full capture
 //! cargo run --release -p dtn-bench --bin perf -- --seeds 1    # fewer seeds
-//! cargo run --release -p dtn-bench --bin perf -- --quick \
+//! cargo run --release -p dtn-bench --bin perf -- --seeds 1 --quick \
 //!     --check BENCH_kernel.json                               # CI gate
 //! ```
 //!
-//! Schema of `BENCH_kernel.json`: a JSON array with one row per
-//! (pinned scenario, thread count); totals are summed across that row's
-//! seeds. `threads` is the kernel shard count the row ran at and `mode`
-//! labels `--quick` rows, whose shortened runs are not comparable to
-//! full captures:
+//! Bad arguments print the usage line to stderr and exit with status 2.
+//!
+//! ## Rows
+//!
+//! The step kernel is serial, so every kernel row runs one thread:
+//! `perf-medium-v1` is the clean reduced-scale world; `chaos-recovery-v1`
+//! runs it under transfer loss and link cuts with the default recovery
+//! policy, tracking the retry/resume path; `perf-large-v1` (1000 nodes),
+//! `perf-huge-v1` (100k nodes, the scale the event-driven contact core
+//! targets) and `perf-huge-v2` (250k nodes, which also records protocol
+//! table bytes per node) keep the same density. Parallelism lives in the
+//! sweep executor, one kernel per cell: `sweep-suite-v1` pushes a
+//! miniature figure grid through the pool at 1 worker and at
+//! `min(8, cores)` workers with a cold memo, and `sweep-suite-v1-warm`
+//! repeats it over the populated memo.
+//!
+//! ## Schema of `BENCH_kernel.json`
+//!
+//! A JSON array with one row per (pinned scenario, thread count, mode);
+//! totals are summed across that row's seeds. `threads` is 1 on kernel
+//! rows and the worker-pool size on sweep rows. `mode` is `quick` for
+//! `--quick` captures (a sixth of the pinned duration, a smaller sweep
+//! plan) and `full` otherwise; the two are not comparable, so the file
+//! keeps both side by side — a capture replaces only the rows of its own
+//! mode. `cores` records the host's available parallelism. Sweep rows add
+//! `cells`/`cells_per_sec` (and mirror `cells_per_sec` into
+//! `events_per_sec`); rows whose run exports the arena gauges add
+//! `bytes_per_node`.
 //!
 //! ```json
-//! [{"name": "...", "threads": n, "mode": "full|quick",
+//! [{"name": "...", "threads": n, "mode": "full|quick", "cores": n,
 //!   "wall_secs": f, "sim_secs_per_sec": f, "events_per_sec": f,
 //!   "steps": n, "contacts": n, "relays": n, "retried": n,
 //!   "resumed": n}, ...]
 //! ```
-//!
-//! Rows: `perf-medium-v1` is the clean kernel, captured at threads 1, 2,
-//! 4 and 8 so the baseline records the scaling curve; `chaos-recovery-v1`
-//! runs the same world under transfer loss and link cuts with the default
-//! recovery policy, tracking the retry/resume path; `perf-large-v1` is a
-//! 1000-node world at the same density (threads 1 and 4);
-//! `perf-huge-v1` is a 100k-node world at the same density (threads 1
-//! and 4, one seed) — the scale the event-driven contact core targets;
-//! `sweep-suite-v1` is a miniature figure grid pushed through the sweep
-//! executor at 1 worker and at `min(8, cores)` workers with a cold memo,
-//! plus a `sweep-suite-v1-warm` pass over the populated memo. For sweep
-//! rows `threads` records the *worker-pool size* (each cell runs a
-//! single-threaded kernel), `cells`/`cells_per_sec` record the suite
-//! shape, and `events_per_sec` mirrors `cells_per_sec` so the committed
-//! comparison below applies uniformly.
 //!
 //! ## Regression gate (`--check <baseline>`)
 //!
 //! With `--check`, the committed baseline is read *before* the capture,
 //! and after writing the fresh numbers the run fails if any row's
 //! `events_per_sec` fell more than `--tolerance` (default 0.25) below the
-//! committed row with the same `(name, threads)`. Rows absent from the
-//! baseline are reported but never fail the gate, so adding a scenario
-//! does not require a flag-day (warm sweep rows are also exempt — memo
-//! hits are too fast for wall-clock comparisons across machines). The
-//! gate additionally enforces *relative* floors computed within the
-//! fresh capture: `perf-medium-v1` at threads >= 4 must clear 1.5x the
-//! pre-optimization single-thread baseline ([`SEED_MEDIUM_EV_PER_SEC`]),
-//! `perf-large-v1` at threads = 1 must clear [`EVENT_CORE_FLOOR`]x the
-//! time-stepped baseline ([`SEED_LARGE_EV_PER_SEC`]), `perf-huge-v1` at
-//! threads = 4 must beat its own threads = 1 row whenever >= 4 cores are
-//! available (skipped on smaller machines), and the sweep suite must
-//! show the pool and the cache actually paying off — cold at >= 4
-//! workers at least [`SWEEP_COLD_SPEEDUP`]x the cold 1-worker rate, warm
-//! at least [`SWEEP_WARM_SPEEDUP`]x it.
+//! committed row with the same `(name, threads, mode)`. Rows absent from
+//! the baseline are reported but never fail the gate, so adding a
+//! scenario does not require a flag-day (warm sweep rows are also exempt
+//! — memo hits are too fast for wall-clock comparisons across machines).
+//! The gate additionally enforces floors within the fresh capture:
+//! `perf-medium-v1` must clear [`PARALLEL_FLOOR`]x the first committed
+//! single-thread rate ([`SEED_MEDIUM_EV_PER_SEC`]), `perf-large-v1` must
+//! clear [`EVENT_CORE_FLOOR`]x the time-stepped baseline
+//! ([`SEED_LARGE_EV_PER_SEC`]), `perf-huge-v2` must clear
+//! [`HUGE2_EV_FLOOR`] and stay under [`HUGE2_BYTES_PER_NODE_CEILING`], and
+//! the sweep suite must show the pool and the cache paying off — cold
+//! at four or more workers at least [`SWEEP_COLD_SPEEDUP`]x the cold
+//! 1-worker rate, warm at least [`SWEEP_WARM_SPEEDUP`]x it.
 
 use std::time::Instant;
 
@@ -71,37 +78,28 @@ use dtn_workloads::scenario::{Arm, Scenario};
 use dtn_workloads::sweep::{self, run_cells, Cell};
 use serde::Deserialize;
 
-/// `perf-medium-v1` events/sec of the single-threaded kernel as committed
-/// before the parallel step loop landed. Pinned like the scenarios: the
-/// `--check` floor asserts the sharded kernel stays >= 1.5x this number
-/// at threads >= 4, whatever the current committed baseline says.
+/// `perf-medium-v1` events/sec of the kernel as first committed. Pinned
+/// like the scenarios: the `--check` floor asserts the kernel stays >=
+/// [`PARALLEL_FLOOR`]x this number, whatever the current committed
+/// baseline says.
 const SEED_MEDIUM_EV_PER_SEC: f64 = 6566.688;
 
-/// Required speedup over [`SEED_MEDIUM_EV_PER_SEC`] at threads >= 4.
+/// Required speedup over [`SEED_MEDIUM_EV_PER_SEC`]. Named for the
+/// parallel step loop it once gated; the serial kernel must clear it on
+/// its own.
 const PARALLEL_FLOOR: f64 = 1.5;
 
 /// `perf-large-v1` events/sec of the single-threaded kernel as committed
 /// before the event-driven contact core and the in-place exchange paths
 /// landed. The `--check` floor asserts the current kernel stays >=
-/// [`EVENT_CORE_FLOOR`]x this rate at threads = 1 — the event core's
-/// speedup is algorithmic, so it must show without any sharding.
+/// [`EVENT_CORE_FLOOR`]x this rate — the event core's speedup is
+/// algorithmic.
 const SEED_LARGE_EV_PER_SEC: f64 = 9278.437;
 
-/// Required speedup over [`SEED_LARGE_EV_PER_SEC`] at threads = 1.
+/// Required speedup over [`SEED_LARGE_EV_PER_SEC`].
 const EVENT_CORE_FLOOR: f64 = 5.0;
 
-/// Thread counts the medium scenario is captured at (the scaling curve).
-const MEDIUM_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-/// Thread counts for the large scenario (one serial, one sharded point).
-const LARGE_SWEEP: [usize; 2] = [1, 4];
-
-/// Thread counts for the huge scenario. The pair doubles as the gate's
-/// thread-scaling probe: with >= 4 cores available, the threads = 4 row
-/// must beat the threads = 1 row outright.
-const HUGE_SWEEP: [usize; 2] = [1, 4];
-
-/// Absolute events/sec floor for `perf-huge-v2` at threads = 1. The row
+/// Absolute events/sec floor for `perf-huge-v2`. The row
 /// is new with the settlement wheel, so the first gate is an absolute
 /// floor (roughly half the capture rate on the reference machine) rather
 /// than a committed-row comparison; later captures also get the standard
@@ -109,7 +107,7 @@ const HUGE_SWEEP: [usize; 2] = [1, 4];
 const HUGE2_EV_FLOOR: f64 = 8_000.0;
 
 /// Ceiling on protocol state bytes per node for `perf-huge-v2`: interest
-/// + reputation table bytes (the arena gauges) divided by the node count.
+/// plus reputation table bytes (the arena gauges) over the node count.
 /// The measured footprint is ~13.3 kB/node — reputation gossip
 /// legitimately spreads opinion rows across a contact-diverse 250k-node
 /// population, and that gossip reach (not the slimmed row structs) is
@@ -160,9 +158,8 @@ fn perf_large_scenario() -> Scenario {
 
 /// The pinned huge-world baseline: 100k nodes at the same density
 /// (1000 km²) over 10 simulated minutes — the scale the event-driven
-/// contact core exists for. One seed, short horizon: the row costs about
-/// a large-row capture per thread count and exercises region sharding at
-/// a population where a full pairwise sweep would be hopeless.
+/// contact core exists for. One seed, short horizon: a population where a
+/// full pairwise sweep would be hopeless.
 fn perf_huge_scenario() -> Scenario {
     let mut s = reduced_scenario().named("perf-huge-v1");
     s.nodes = 100_000;
@@ -188,9 +185,9 @@ fn perf_huge2_scenario() -> Scenario {
 }
 
 /// The pinned sweep-executor baseline: a miniature figure grid (selfish
-/// fractions × both arms × seeds) of single-threaded kernels, so the row
-/// measures pool scaling and cache hits rather than intra-cell sharding.
-/// Pinned like the other scenarios: reshaping the grid requires a rename.
+/// fractions × both arms × seeds), so the row measures pool scaling and
+/// cache hits. Pinned like the other scenarios: reshaping the grid
+/// requires a rename.
 fn sweep_suite_plan(quick: bool) -> Vec<Cell> {
     let seeds: Vec<u64> = if quick {
         vec![1, 2, 3]
@@ -206,7 +203,6 @@ fn sweep_suite_plan(quick: bool) -> Vec<Cell> {
         s.message_interval_secs = 30.0;
         s.message_ttl_secs = 900.0;
         s.selfish_fraction = selfish;
-        s.threads = Some(1);
         for arm in Arm::BOTH {
             for &seed in &seeds {
                 cells.push(Cell::arm(s.clone(), arm, seed));
@@ -217,8 +213,8 @@ fn sweep_suite_plan(quick: bool) -> Vec<Cell> {
 }
 
 /// One captured baseline row. `Deserialize` doubles as the committed-
-/// baseline reader for `--check`; `threads`/`mode` are optional there so
-/// pre-sweep baselines (which had neither field) still parse.
+/// baseline reader for `--check`; `threads`/`mode`/`cores` are optional
+/// there so older baselines (which lacked them) still parse.
 #[derive(Debug, Clone, Deserialize)]
 struct BenchRow {
     name: String,
@@ -226,6 +222,9 @@ struct BenchRow {
     threads: Option<u64>,
     #[serde(default)]
     mode: Option<String>,
+    /// Available parallelism of the capturing host (0 = not recorded).
+    #[serde(default)]
+    cores: u64,
     #[allow(dead_code)]
     #[serde(default)]
     wall_secs: f64,
@@ -253,14 +252,15 @@ struct BenchRow {
     /// the arena gauges); 0 when the gauges are absent.
     #[serde(default)]
     bytes_per_node: f64,
-    /// Free-form annotation (e.g. why the scaling probe did not run).
-    #[serde(default)]
-    note: Option<String>,
 }
 
 impl BenchRow {
     fn threads(&self) -> u64 {
         self.threads.unwrap_or(1)
+    }
+
+    fn mode(&self) -> &str {
+        self.mode.as_deref().unwrap_or("full")
     }
 
     /// Hand-formatted to keep the committed file's row style stable. The
@@ -281,20 +281,15 @@ impl BenchRow {
                 self.bytes_per_node
             ));
         }
-        if let Some(note) = &self.note {
-            sweep_cols.push_str(&format!(
-                ",\n    \"note\": {}",
-                serde_json::to_string(note).expect("string encodes")
-            ));
-        }
         format!(
             "{{\n    \"name\": {},\n    \"threads\": {},\n    \"mode\": {},\n    \
-             \"wall_secs\": {:.6},\n    \"sim_secs_per_sec\": {:.3},\n    \
+             \"cores\": {},\n    \"wall_secs\": {:.6},\n    \"sim_secs_per_sec\": {:.3},\n    \
              \"events_per_sec\": {:.3},\n    \"steps\": {},\n    \"contacts\": {},\n    \
              \"relays\": {},\n    \"retried\": {},\n    \"resumed\": {}{sweep_cols}\n  }}",
             serde_json::to_string(&self.name).expect("string encodes"),
             self.threads(),
-            serde_json::to_string(self.mode.as_deref().unwrap_or("full")).expect("string encodes"),
+            serde_json::to_string(self.mode()).expect("string encodes"),
+            self.cores,
             self.wall_secs,
             self.sim_secs_per_sec,
             self.events_per_sec,
@@ -307,10 +302,18 @@ impl BenchRow {
     }
 }
 
-/// Run one pinned scenario at one thread count over `seeds`.
-fn bench_row(scenario: &Scenario, threads: usize, seeds: &[u64], quick: bool) -> BenchRow {
+/// The host's available parallelism, recorded in every row.
+fn cores() -> u64 {
+    std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
+}
+
+fn mode_name(quick: bool) -> String {
+    if quick { "quick" } else { "full" }.into()
+}
+
+/// Run one pinned scenario over `seeds`.
+fn bench_row(scenario: &Scenario, seeds: &[u64], quick: bool) -> BenchRow {
     let mut scenario = scenario.clone();
-    scenario.threads = Some(threads);
     if quick {
         // A sixth of the pinned duration: enough steps for a stable rate,
         // short enough for a per-commit CI gate. Quick rows are labeled
@@ -319,13 +322,12 @@ fn bench_row(scenario: &Scenario, threads: usize, seeds: &[u64], quick: bool) ->
         scenario.duration_secs /= 6.0;
         scenario.message_ttl_secs = scenario.message_ttl_secs.min(scenario.duration_secs / 2.0);
     }
-    let label = format!(
-        "{} [threads={threads}{}]",
-        scenario.name,
-        if quick { ", quick" } else { "" }
-    );
     dtn_bench::print_scenario_header("kernel performance baseline", &scenario, seeds);
-    println!("row: {label}");
+    println!(
+        "row: {}{}",
+        scenario.name,
+        if quick { " [quick]" } else { "" }
+    );
 
     // Sequential, one profiled run per seed: wall-clock must measure the
     // kernel, not scheduler contention between concurrent runs.
@@ -352,7 +354,10 @@ fn bench_row(scenario: &Scenario, threads: usize, seeds: &[u64], quick: bool) ->
     // Per-node protocol table footprint from the arena gauges (end-of-run
     // values; seeds merge by max, so multi-seed rows report the widest).
     let table_bytes = report.metrics.gauge("arena.interest_bytes").unwrap_or(0.0)
-        + report.metrics.gauge("arena.reputation_bytes").unwrap_or(0.0);
+        + report
+            .metrics
+            .gauge("arena.reputation_bytes")
+            .unwrap_or(0.0);
     let bytes_per_node = table_bytes / scenario.nodes as f64;
     if bytes_per_node > 0.0 {
         println!("state: {bytes_per_node:.1} table bytes/node ({table_bytes:.0} total)");
@@ -366,8 +371,9 @@ fn bench_row(scenario: &Scenario, threads: usize, seeds: &[u64], quick: bool) ->
 
     BenchRow {
         name: scenario.name.clone(),
-        threads: Some(threads as u64),
-        mode: Some(if quick { "quick" } else { "full" }.into()),
+        threads: Some(1),
+        mode: Some(mode_name(quick)),
+        cores: cores(),
         wall_secs: report.wall_secs,
         sim_secs_per_sec: report.sim_secs_per_sec,
         events_per_sec: report.events_per_sec,
@@ -379,7 +385,6 @@ fn bench_row(scenario: &Scenario, threads: usize, seeds: &[u64], quick: bool) ->
         cells: 0,
         cells_per_sec: 0.0,
         bytes_per_node,
-        note: None,
     }
 }
 
@@ -410,7 +415,8 @@ fn sweep_suite_row(name: &str, workers: usize, plan: &[Cell], quick: bool) -> Be
     BenchRow {
         name: name.into(),
         threads: Some(workers as u64),
-        mode: Some(if quick { "quick" } else { "full" }.into()),
+        mode: Some(mode_name(quick)),
+        cores: cores(),
         wall_secs: wall,
         sim_secs_per_sec: sim_secs / wall,
         // Mirrors cells_per_sec so the committed comparison treats sweep
@@ -424,7 +430,6 @@ fn sweep_suite_row(name: &str, workers: usize, plan: &[Cell], quick: bool) -> Be
         cells: plan.len() as u64,
         cells_per_sec,
         bytes_per_node: 0.0,
-        note: None,
     }
 }
 
@@ -483,13 +488,13 @@ fn check_sweep_floors(fresh: &[BenchRow]) -> Vec<String> {
 }
 
 /// The regression gate: every fresh row must stay within `tolerance` of
-/// the committed row with the same `(name, threads)`, and the medium
-/// scenario's sharded rows must clear the parallel-step floor. Returns
-/// the list of failures (empty = gate passes).
+/// the committed row with the same `(name, threads, mode)`, and the
+/// pinned floors must hold. Returns the list of failures (empty = gate
+/// passes).
 fn check_rows(fresh: &[BenchRow], baseline: &[BenchRow], tolerance: f64) -> Vec<String> {
     let mut failures = Vec::new();
     for row in fresh {
-        let label = format!("{} [threads={}]", row.name, row.threads());
+        let label = format!("{} [threads={}, {}]", row.name, row.threads(), row.mode());
         if row.name.ends_with("-warm") {
             // Memo hits complete in microseconds; their wall-clock rate is
             // machine noise. The warm row is gated by its relative floor
@@ -499,7 +504,7 @@ fn check_rows(fresh: &[BenchRow], baseline: &[BenchRow], tolerance: f64) -> Vec<
         }
         match baseline
             .iter()
-            .find(|b| b.name == row.name && b.threads() == row.threads())
+            .find(|b| b.name == row.name && b.threads() == row.threads() && b.mode() == row.mode())
         {
             Some(b) => {
                 let floor = (1.0 - tolerance) * b.events_per_sec;
@@ -521,12 +526,12 @@ fn check_rows(fresh: &[BenchRow], baseline: &[BenchRow], tolerance: f64) -> Vec<
             }
             None => println!("[check] {label}: no committed row, skipped"),
         }
-        if row.name == "perf-medium-v1" && row.threads() >= 4 {
+        if row.name == "perf-medium-v1" {
             let floor = PARALLEL_FLOOR * SEED_MEDIUM_EV_PER_SEC;
             if row.events_per_sec < floor {
                 failures.push(format!(
-                    "{label}: {:.1} ev/s misses the parallel-step floor {:.1} \
-                     ({PARALLEL_FLOOR}x the pre-optimization baseline {SEED_MEDIUM_EV_PER_SEC})",
+                    "{label}: {:.1} ev/s misses the medium floor {:.1} \
+                     ({PARALLEL_FLOOR}x the first committed rate {SEED_MEDIUM_EV_PER_SEC})",
                     row.events_per_sec, floor
                 ));
             } else {
@@ -536,7 +541,7 @@ fn check_rows(fresh: &[BenchRow], baseline: &[BenchRow], tolerance: f64) -> Vec<
                 );
             }
         }
-        if row.name == "perf-large-v1" && row.threads() == 1 {
+        if row.name == "perf-large-v1" {
             let floor = EVENT_CORE_FLOOR * SEED_LARGE_EV_PER_SEC;
             if row.events_per_sec < floor {
                 failures.push(format!(
@@ -551,7 +556,7 @@ fn check_rows(fresh: &[BenchRow], baseline: &[BenchRow], tolerance: f64) -> Vec<
                 );
             }
         }
-        if row.name == "perf-huge-v2" && row.threads() == 1 {
+        if row.name == "perf-huge-v2" {
             if row.events_per_sec < HUGE2_EV_FLOOR {
                 failures.push(format!(
                     "{label}: {:.1} ev/s misses the absolute floor {HUGE2_EV_FLOOR}",
@@ -585,39 +590,18 @@ fn check_rows(fresh: &[BenchRow], baseline: &[BenchRow], tolerance: f64) -> Vec<
     failures
 }
 
-/// The huge row's thread-scaling probe, computed within one fresh
-/// capture: with >= 4 cores available, threads = 4 must beat threads = 1
-/// outright — region parallelism that loses to the serial path is a
-/// regression even if both rates clear their committed floors. On
-/// smaller machines (CI runners are often 1–2 cores) the probe is
-/// skipped: the sharded row cannot be expected to win without cores.
-fn check_thread_scaling(fresh: &[BenchRow]) -> Vec<String> {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    if cores < 4 {
-        println!("[check] perf-huge-v1 thread scaling: {cores} core(s) available, skipped");
-        return Vec::new();
-    }
-    let rate = |threads: u64| {
-        fresh
-            .iter()
-            .find(|r| r.name == "perf-huge-v1" && r.threads() == threads)
-            .map(|r| r.events_per_sec)
-    };
-    let (Some(serial), Some(sharded)) = (rate(1), rate(4)) else {
-        return vec!["perf-huge-v1 rows missing from the capture".into()];
-    };
-    if sharded <= serial {
-        return vec![format!(
-            "perf-huge-v1: threads=4 at {sharded:.1} ev/s does not beat \
-             threads=1 at {serial:.1} ev/s ({cores} cores available)"
-        )];
-    }
-    println!(
-        "[check] perf-huge-v1: threads=4 beats threads=1 \
-         ({sharded:.1} vs {serial:.1} ev/s, {:.2}x)",
-        sharded / serial
-    );
-    Vec::new()
+const USAGE: &str = "usage: perf [--seeds N] [--quick] [--check BASELINE.json] [--tolerance F]";
+
+/// Reports a bad argument with the usage line and exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("perf: {message}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Reads a baseline file's rows.
+fn read_rows(path: &str) -> Result<Vec<BenchRow>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e:?}"))
 }
 
 fn main() {
@@ -625,95 +609,56 @@ fn main() {
     let mut quick = false;
     let mut check_path: Option<String> = None;
     let mut tolerance = 0.25f64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
             "--seeds" => {
-                i += 1;
                 seed_count = args
-                    .get(i)
+                    .next()
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n > 0)
-                    .unwrap_or_else(|| panic!("--seeds needs a positive integer"));
+                    .unwrap_or_else(|| usage_error("--seeds needs a positive integer"));
             }
             "--quick" => quick = true,
             "--check" => {
-                i += 1;
                 check_path = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| panic!("--check needs a baseline path"))
-                        .clone(),
+                    args.next()
+                        .unwrap_or_else(|| usage_error("--check needs a baseline path")),
                 );
             }
             "--tolerance" => {
-                i += 1;
                 tolerance = args
-                    .get(i)
+                    .next()
                     .and_then(|s| s.parse().ok())
                     .filter(|t| (0.0..1.0).contains(t))
-                    .unwrap_or_else(|| panic!("--tolerance needs a fraction in [0, 1)"));
+                    .unwrap_or_else(|| usage_error("--tolerance needs a fraction in [0, 1)"));
             }
-            other => panic!(
-                "unknown flag {other}; usage: perf [--seeds N] [--quick] \
-                 [--check BASELINE.json] [--tolerance F]"
-            ),
+            other => usage_error(&format!("unknown flag {other}")),
         }
-        i += 1;
     }
 
     // Read the committed baseline before the capture overwrites it.
-    let baseline: Option<Vec<BenchRow>> = check_path.as_ref().map(|path| {
-        let text =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e:?}"))
-    });
+    let baseline: Option<Vec<BenchRow>> = check_path
+        .as_deref()
+        .map(|path| read_rows(path).unwrap_or_else(|e| usage_error(&e)));
 
     let seeds = seeds_for(seed_count);
     let mut rows: Vec<BenchRow> = Vec::new();
-    let medium = perf_scenario();
-    for threads in MEDIUM_SWEEP {
-        rows.push(bench_row(&medium, threads, &seeds, quick));
-    }
-    rows.push(bench_row(&chaos_recovery_scenario(), 1, &seeds, quick));
-    let large = perf_large_scenario();
-    // The large world is ~10x the medium per-step cost; one seed keeps
-    // the capture per-commit affordable without moving the rate.
+    rows.push(bench_row(&perf_scenario(), &seeds, quick));
+    rows.push(bench_row(&chaos_recovery_scenario(), &seeds, quick));
+    // The large worlds are ~10x the medium per-step cost and more; one
+    // seed keeps the capture per-commit affordable without moving the rate.
     let large_seeds = &seeds[..1];
-    for threads in LARGE_SWEEP {
-        rows.push(bench_row(&large, threads, large_seeds, quick));
-    }
-    let huge = perf_huge_scenario();
-    for threads in HUGE_SWEEP {
-        rows.push(bench_row(&huge, threads, large_seeds, quick));
-    }
-    // The quarter-million-node row runs serial only: it exists to bound
-    // per-node state and single-core throughput at scale, and one thread
-    // count keeps the capture affordable.
-    rows.push(bench_row(&perf_huge2_scenario(), 1, large_seeds, quick));
-
-    // Record the thread-scaling probe's applicability on the sharded huge
-    // row even when `--check` is not running: a < 4-core machine cannot
-    // run the probe, and the capture should say so in the JSON rather
-    // than silently self-skip.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    if cores < 4 {
-        if let Some(row) = rows
-            .iter_mut()
-            .find(|r| r.name == "perf-huge-v1" && r.threads() == 4)
-        {
-            row.note = Some(format!("scaling probe skipped: {cores} cores"));
-        }
-    }
+    rows.push(bench_row(&perf_large_scenario(), large_seeds, quick));
+    rows.push(bench_row(&perf_huge_scenario(), large_seeds, quick));
+    rows.push(bench_row(&perf_huge2_scenario(), large_seeds, quick));
 
     // The sweep-executor suite: cold at 1 worker, cold at min(8, cores)
     // workers, then warm over the memo the second pass populated. The
     // disk cache stays off here — this row measures the pool and the
     // in-process memo, not filesystem throughput.
     let plan = sweep_suite_plan(quick);
-    let pool = std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(1);
+    let pool = cores().min(8) as usize;
     sweep::set_cache_dir(None);
     sweep::clear_memo();
     rows.push(sweep_suite_row("sweep-suite-v1", 1, &plan, quick));
@@ -724,15 +669,24 @@ fn main() {
     rows.push(sweep_suite_row("sweep-suite-v1-warm", pool, &plan, quick));
     sweep::set_workers(0);
 
-    let body: Vec<String> = rows.iter().map(BenchRow::to_json).collect();
-    let json = format!("[\n  {}\n]\n", body.join(",\n  "));
+    // Quick and full rows live side by side: keep the other mode's rows
+    // of the existing file, full rows first.
     let path = "BENCH_kernel.json";
+    let mode = mode_name(quick);
+    let mut all: Vec<BenchRow> = read_rows(path)
+        .unwrap_or_default()
+        .into_iter()
+        .filter(|r| r.mode() != mode)
+        .collect();
+    all.extend(rows.iter().cloned());
+    all.sort_by_key(|r| r.mode() == "quick");
+    let body: Vec<String> = all.iter().map(BenchRow::to_json).collect();
+    let json = format!("[\n  {}\n]\n", body.join(",\n  "));
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!("[json] {path}");
 
     if let Some(baseline) = baseline {
         let mut failures = check_rows(&rows, &baseline, tolerance);
-        failures.extend(check_thread_scaling(&rows));
         failures.extend(check_sweep_floors(&rows));
         if !failures.is_empty() {
             eprintln!("\nperf regression gate FAILED:");

@@ -71,9 +71,6 @@ pub enum Command {
         backoff_base: Option<f64>,
         /// Optional checkpoint-resume toggle (`--resume on|off`).
         resume: Option<bool>,
-        /// Optional kernel shard-count override (`--threads N`); output is
-        /// byte-identical at any value.
-        threads: Option<usize>,
         /// Optional simulation-core override (`--kernel-mode
         /// event-driven|time-stepped`); both cores are byte-identical.
         kernel_mode: Option<dtn_sim::events::KernelMode>,
@@ -101,9 +98,6 @@ pub enum Command {
         /// Print the per-phase wall-clock table (`--verbose`); enables
         /// the phase profiler.
         verbose: bool,
-        /// Optional kernel shard-count override (`--threads N`); output is
-        /// byte-identical at any value.
-        threads: Option<usize>,
         /// Optional sweep-executor pool size (`--sweep-workers N`); both
         /// arms' seeds run through one work queue. Output is
         /// byte-identical at any value.
@@ -141,6 +135,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         "run" => {
             let path = it.next().ok_or("run needs a scenario path")?.clone();
+            if is_help(&path) {
+                return Ok(Command::Help);
+            }
             let mut arm = Arm::Incentive;
             let mut seed = QUICK_SEEDS[0];
             let mut json_out = None;
@@ -153,7 +150,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut retry_max = None;
             let mut backoff_base = None;
             let mut resume = None;
-            let mut threads = None;
             let mut kernel_mode = None;
             let mut snapshot_every = None;
             let mut snapshot_dir = None;
@@ -237,7 +233,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                             }
                         };
                     }
-                    "--threads" => threads = Some(parse_threads(it.next())?),
                     "--kernel-mode" => {
                         let spec = it.next().ok_or("--kernel-mode needs a core name")?;
                         kernel_mode = Some(
@@ -269,6 +264,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                                 .clone(),
                         );
                     }
+                    "-h" | "--help" => return Ok(Command::Help),
                     other => return Err(format!("unknown flag {other}")),
                 }
             }
@@ -289,7 +285,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 retry_max,
                 backoff_base,
                 resume,
-                threads,
                 kernel_mode,
                 snapshot_every,
                 snapshot_dir,
@@ -298,10 +293,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         "compare" => {
             let path = it.next().ok_or("compare needs a scenario path")?.clone();
+            if is_help(&path) {
+                return Ok(Command::Help);
+            }
             let mut seeds = QUICK_SEEDS.len();
             let mut metrics_out = None;
             let mut verbose = false;
-            let mut threads = None;
             let mut sweep_workers = None;
             let mut sweep_cache = false;
             let mut router = None;
@@ -327,7 +324,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?.clone());
                     }
                     "--verbose" => verbose = true,
-                    "--threads" => threads = Some(parse_threads(it.next())?),
                     "--sweep-workers" => {
                         let n: usize = it
                             .next()
@@ -340,6 +336,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         sweep_workers = Some(n);
                     }
                     "--sweep-cache" => sweep_cache = true,
+                    "-h" | "--help" => return Ok(Command::Help),
                     other => return Err(format!("unknown flag {other}")),
                 }
             }
@@ -348,7 +345,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 seeds,
                 metrics_out,
                 verbose,
-                threads,
                 sweep_workers,
                 sweep_cache,
                 router,
@@ -358,16 +354,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     }
 }
 
-/// Parses a `--threads` value (a positive shard count).
-fn parse_threads(value: Option<&String>) -> Result<usize, String> {
-    let n: usize = value
-        .ok_or("--threads needs a count")?
-        .parse()
-        .map_err(|e| format!("bad --threads: {e}"))?;
-    if n == 0 {
-        return Err("--threads must be at least 1".to_owned());
-    }
-    Ok(n)
+/// Whether `arg` asks for the usage text.
+fn is_help(arg: &str) -> bool {
+    matches!(arg, "-h" | "--help")
 }
 
 /// The usage text.
@@ -384,12 +373,12 @@ USAGE:
                             [--check-invariants]
                             [--metrics-out m.json] [--verbose]
                             [--retry-max N] [--backoff-base SECS]
-                            [--resume on|off] [--threads N]
+                            [--resume on|off]
                             [--kernel-mode event-driven|time-stepped]
                             [--snapshot-every SIMSECS] [--snapshot-dir DIR]
                             [--resume-from FILE]
     dtn compare <scenario.json> [--seeds N] [--metrics-out m.json] [--verbose]
-                                [--threads N] [--sweep-workers N] [--sweep-cache]
+                                [--sweep-workers N] [--sweep-cache]
                                 [--router chitchat|epidemic|direct|spray[:N]|twohop|prophet]
     dtn help
 
@@ -441,13 +430,6 @@ SNAPSHOTS:
     instrumentation flags as the interrupted one (the snapshot embeds them
     and the mismatch is a typed error). Profiling a resumed run reports
     wall-clock from the resume point only.
-
-PARALLELISM:
-    --threads N shards the kernel's data-parallel step phases (mobility
-    stepping, contact detection) over N shards, overriding the
-    scenario's `threads` field. Output is byte-identical at any value —
-    traces, summaries and metrics match the serial run exactly; only
-    wall-clock changes.
 
 KERNEL MODE:
     --kernel-mode picks the simulation core, overriding the scenario's
@@ -592,16 +574,12 @@ pub fn execute_with_interrupt(
             retry_max,
             backoff_base,
             resume,
-            threads,
             kernel_mode,
             snapshot_every,
             snapshot_dir,
             resume_from,
         } => {
             let mut scenario = load_scenario(&path)?;
-            if threads.is_some() {
-                scenario.threads = threads;
-            }
             if kernel_mode.is_some() {
                 scenario.kernel_mode = kernel_mode;
             }
@@ -797,15 +775,11 @@ pub fn execute_with_interrupt(
             seeds,
             metrics_out,
             verbose,
-            threads,
             sweep_workers,
             sweep_cache,
             router,
         } => {
-            let mut scenario = load_scenario(&path)?;
-            if threads.is_some() {
-                scenario.threads = threads;
-            }
+            let scenario = load_scenario(&path)?;
             if let Some(n) = sweep_workers {
                 dtn_workloads::sweep::set_workers(n);
             }
@@ -940,6 +914,22 @@ mod tests {
     }
 
     #[test]
+    fn subcommand_help_prints_usage() {
+        for line in [
+            "run -h",
+            "run --help",
+            "compare -h",
+            "compare --help",
+            "run s.json --seed 3 --help",
+            "compare s.json -h",
+        ] {
+            assert_eq!(parse_args(&argv(line)), Ok(Command::Help), "{line}");
+        }
+        let text = execute(parse_args(&argv("run --help")).expect("parses")).expect("help runs");
+        assert_eq!(text, usage());
+    }
+
+    #[test]
     fn parses_all_commands() {
         assert_eq!(parse_args(&argv("")), Ok(Command::Help));
         assert_eq!(parse_args(&argv("help")), Ok(Command::Help));
@@ -968,7 +958,6 @@ mod tests {
                 retry_max: None,
                 backoff_base: None,
                 resume: None,
-                threads: None,
                 kernel_mode: None,
                 snapshot_every: None,
                 snapshot_dir: None,
@@ -994,7 +983,6 @@ mod tests {
                 retry_max: None,
                 backoff_base: None,
                 resume: None,
-                threads: None,
                 kernel_mode: None,
                 snapshot_every: None,
                 snapshot_dir: None,
@@ -1019,7 +1007,6 @@ mod tests {
                 retry_max: Some(5),
                 backoff_base: Some(2.5),
                 resume: Some(false),
-                threads: None,
                 kernel_mode: None,
                 snapshot_every: None,
                 snapshot_dir: None,
@@ -1033,7 +1020,6 @@ mod tests {
                 seeds: 2,
                 metrics_out: None,
                 verbose: false,
-                threads: None,
                 sweep_workers: None,
                 sweep_cache: false,
                 router: None,
@@ -1048,7 +1034,6 @@ mod tests {
                 seeds: 8,
                 metrics_out: Some("m.json".into()),
                 verbose: false,
-                threads: None,
                 sweep_workers: None,
                 sweep_cache: false,
                 router: None,
@@ -1079,16 +1064,6 @@ mod tests {
             panic!("--strategies parses on run");
         };
         assert_eq!(strategies, Some("free=0.1,farm=0.1,defense".into()));
-        let Ok(Command::Run { threads, .. }) = parse_args(&argv("run s.json --threads 8")) else {
-            panic!("--threads parses on run");
-        };
-        assert_eq!(threads, Some(8));
-        let Ok(Command::Compare { threads, .. }) =
-            parse_args(&argv("compare s.json --seeds 2 --threads 4"))
-        else {
-            panic!("--threads parses on compare");
-        };
-        assert_eq!(threads, Some(4));
         let Ok(Command::Compare {
             sweep_workers,
             sweep_cache,
@@ -1150,9 +1125,8 @@ mod tests {
         assert!(parse_args(&argv("run s.json --backoff-base nan")).is_err());
         assert!(parse_args(&argv("run s.json --resume maybe")).is_err());
         assert!(parse_args(&argv("run s.json --resume")).is_err());
-        assert!(parse_args(&argv("run s.json --threads 0")).is_err());
-        assert!(parse_args(&argv("run s.json --threads many")).is_err());
-        assert!(parse_args(&argv("compare s.json --threads")).is_err());
+        assert!(parse_args(&argv("run s.json --threads 2")).is_err());
+        assert!(parse_args(&argv("compare s.json --threads 2")).is_err());
         assert!(parse_args(&argv("compare s.json --sweep-workers 0")).is_err());
         assert!(parse_args(&argv("compare s.json --sweep-workers")).is_err());
         assert!(parse_args(&argv("run s.json --sweep-cache")).is_err());
@@ -1241,7 +1215,6 @@ mod tests {
             retry_max: Some(3),
             backoff_base: Some(5.0),
             resume: Some(true),
-            threads: None,
             kernel_mode: None,
             snapshot_every: None,
             snapshot_dir: None,
@@ -1288,7 +1261,6 @@ mod tests {
             retry_max: None,
             backoff_base: None,
             resume: None,
-            threads: Some(2),
             kernel_mode: None,
             snapshot_every: None,
             snapshot_dir: None,
@@ -1325,7 +1297,6 @@ mod tests {
             seeds: 1,
             metrics_out: Some(metrics_out.to_str().expect("utf8").to_owned()),
             verbose: false,
-            threads: None,
             sweep_workers: None,
             sweep_cache: false,
             router: None,
@@ -1356,7 +1327,6 @@ mod tests {
             seeds: 1,
             metrics_out: None,
             verbose: false,
-            threads: None,
             sweep_workers: None,
             sweep_cache: false,
             router: Some(BackendKind::Epidemic),
@@ -1373,7 +1343,6 @@ mod tests {
             seeds: 1,
             metrics_out: None,
             verbose: true,
-            threads: None,
             sweep_workers: None,
             sweep_cache: false,
             router: Some(BackendKind::Epidemic),
@@ -1425,7 +1394,6 @@ mod tests {
             retry_max: None,
             backoff_base: None,
             resume: None,
-            threads: None,
             kernel_mode: None,
             snapshot_every: Some(100.0),
             snapshot_dir,

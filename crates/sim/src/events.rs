@@ -5,8 +5,8 @@
 //! distance-check every candidate pair — O(nodes + near pairs) work even
 //! when nobody is near anybody. This module replaces that sweep with a
 //! *predicted-crossing* scheduler that produces the exact same in-range
-//! pair list every step (byte-identical traces and summaries, any thread
-//! count) while doing work only where geometry says something can change:
+//! pair list every step (byte-identical traces and summaries) while doing
+//! work only where geometry says something can change:
 //!
 //! * **Cell-crossing events.** Each node belongs to one coarse grid cell
 //!   (cell width = radio range, the same geometry as the sweep grid). The
@@ -33,13 +33,6 @@
 //! cap, which no leg change can exceed. A teleporting or scripted node is
 //! caught by the cell-crossing test the same step it moves, which resets
 //! every affected pair prediction (see [`ContactEngine::collect`]).
-//!
-//! Region parallelism: watched pairs are sharded into `threads` regions
-//! (stable pair → region assignment), each with its own heap, watch map,
-//! and hot set. Regions step in parallel between per-step epoch barriers
-//! and merge their in-range contributions in region order; the merged
-//! list is sorted, so the output is independent of the region count and
-//! the worker count. See DESIGN.md §15 for the full determinism argument.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -147,7 +140,7 @@ impl<T: Ord> EventQueue<T> {
     }
 }
 
-/// A watched pair's scheduling state inside its region.
+/// A watched pair's scheduling state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum PairState {
     /// Within the hot band around the radio range: checked every step.
@@ -158,23 +151,10 @@ enum PairState {
     Due(u64),
 }
 
-/// One shard of the watch set: an independent event queue, watch map, and
-/// hot list. A pair maps to exactly one region for its whole life
-/// (stable id-based assignment), so regions never race: between epoch
-/// barriers each region is touched by exactly one worker.
 /// Pair-state map on the fast id hasher: only `get`/`insert`/`remove`
 /// ever touch it (iteration order is never observed), so the hasher
 /// choice cannot affect simulation output.
 type PairMap = crate::fxhash::FxHashMap<ContactKey, PairState>;
-
-#[derive(Debug, Default)]
-struct Region {
-    state: PairMap,
-    queue: EventQueue<ContactKey>,
-    hot: Vec<ContactKey>,
-    /// In-range pairs found this step; merged in region order, then sorted.
-    out: Vec<ContactKey>,
-}
 
 /// How many steps of combined-speed travel the hot band extends past the
 /// radio range on entry. Pairs closer than this are checked every step.
@@ -195,6 +175,7 @@ const MAX_PREDICT_STEPS: f64 = 1_000_000.0;
 #[derive(Debug)]
 pub struct ContactEngine {
     range: f64,
+    range_sq: f64,
     dt_secs: f64,
     cell: f64,
     cols: usize,
@@ -209,29 +190,27 @@ pub struct ContactEngine {
     cross_check_at: Vec<u64>,
     /// Per-node speed cap, m/s (`f64::INFINITY` when the model has none).
     vmax: Vec<f64>,
-    regions: Vec<Region>,
+    /// Scheduling state of every watched pair.
+    state: PairMap,
+    /// Predicted rechecks of the `Due` pairs.
+    queue: EventQueue<ContactKey>,
+    /// Pairs in the hot band, checked every step.
+    hot: Vec<ContactKey>,
     /// Nodes that changed cell this step (scratch).
     crossed: Vec<NodeId>,
 }
 
 impl ContactEngine {
-    /// Builds an engine over `area` with the given radio `range`, step
-    /// length, and region count, watching the pairs implied by the
-    /// initial `positions`. `vmax` carries each node's speed cap.
+    /// Builds an engine over `area` with the given radio `range` and step
+    /// length, watching the pairs implied by the initial `positions`.
+    /// `vmax` carries each node's speed cap.
     ///
     /// # Panics
     ///
     /// Panics if `positions` and `vmax` disagree in length, or the range
     /// or step is non-positive.
     #[must_use]
-    pub fn new(
-        area: Area,
-        range: f64,
-        dt_secs: f64,
-        regions: usize,
-        positions: &[Point],
-        vmax: Vec<f64>,
-    ) -> Self {
+    pub fn new(area: Area, range: f64, dt_secs: f64, positions: &[Point], vmax: Vec<f64>) -> Self {
         assert_eq!(positions.len(), vmax.len(), "one speed cap per node");
         assert!(range > 0.0, "radio range must be positive");
         assert!(dt_secs > 0.0, "step must be positive");
@@ -244,6 +223,7 @@ impl ContactEngine {
         let n = positions.len();
         let mut engine = ContactEngine {
             range,
+            range_sq: range * range,
             dt_secs,
             cell,
             cols,
@@ -253,7 +233,9 @@ impl ContactEngine {
             cell_slot: vec![0; n],
             cross_check_at: vec![0; n],
             vmax,
-            regions: (0..regions.max(1)).map(|_| Region::default()).collect(),
+            state: PairMap::default(),
+            queue: EventQueue::new(),
+            hot: Vec::new(),
             crossed: Vec::new(),
         };
         engine.rebuild(positions, 0);
@@ -274,12 +256,9 @@ impl ContactEngine {
         for cell in &mut self.cells {
             cell.clear();
         }
-        for region in &mut self.regions {
-            region.state.clear();
-            region.queue.clear();
-            region.hot.clear();
-            region.out.clear();
-        }
+        self.state.clear();
+        self.queue.clear();
+        self.hot.clear();
         for (i, &p) in positions.iter().enumerate() {
             let c = self.cell_index(p);
             self.node_cell[i] = c as u32;
@@ -296,15 +275,13 @@ impl ContactEngine {
     }
 
     /// Collects the exact sorted in-range pair list for `step` into
-    /// `out`, applying the same depleted-radio filter as the sweep.
-    /// `workers` bounds the OS threads used for the region phase; it is
-    /// wall-clock-only and never affects the output.
+    /// `out`, applying the same depleted-radio filter as the sweep. Pairs
+    /// are appended unsorted; the caller sorts.
     pub fn collect(
         &mut self,
         step: u64,
         positions: &[Point],
         energy: &EnergyMeter,
-        workers: usize,
         out: &mut Vec<ContactKey>,
     ) {
         // Phase 1 (serial): fire due cell-crossing checks. Moving a node
@@ -340,48 +317,54 @@ impl ContactEngine {
             let node = self.crossed[idx];
             self.watch_neighbourhood(node, step, positions, 0);
         }
-        // Phase 3 (parallel epoch): each region fires its due pair
-        // rechecks and scans its hot list, writing in-range pairs to its
-        // own buffer. Regions are disjoint, so any worker partition
-        // computes identical region states.
-        let range_sq = self.range * self.range;
-        let shared = EngineShared {
-            range: self.range,
-            range_sq,
-            dt_secs: self.dt_secs,
-            cols: self.cols,
-            node_cell: &self.node_cell,
-            vmax: &self.vmax,
-        };
-        let workers = workers.max(1).min(self.regions.len());
-        if workers > 1 {
-            let per = self.regions.len().div_ceil(workers);
-            std::thread::scope(|s| {
-                for chunk in self.regions.chunks_mut(per) {
-                    let shared = &shared;
-                    s.spawn(move || {
-                        for region in chunk {
-                            region.step(step, positions, energy, shared);
-                        }
-                    });
-                }
-            });
-        } else {
-            for region in &mut self.regions {
-                region.step(step, positions, energy, &shared);
+        // Phase 3: fire due pair rechecks first — a pair predicted for
+        // this very step may be in range right now, and classification
+        // routes it into the hot list scanned below.
+        while let Some((due, pair)) = self.queue.pop_due(step) {
+            if self.state.get(&pair) != Some(&PairState::Due(due)) {
+                continue; // stale: the pair was re-predicted or went hot
             }
+            if !self.cells_adjacent(pair) {
+                self.state.remove(&pair);
+                continue;
+            }
+            self.classify(pair, step, 0, positions);
         }
-        // Phase 4 (serial): merge in region order. The caller sorts, so
-        // the final list is independent of the region/worker partition.
-        for region in &mut self.regions {
-            out.extend_from_slice(&region.out);
+        // Phase 4: exact distance check of every pair near the range
+        // boundary. Index loop because demotions swap-remove.
+        let mut i = 0;
+        while i < self.hot.len() {
+            let pair = self.hot[i];
+            if !self.cells_adjacent(pair) {
+                self.state.remove(&pair);
+                self.hot.swap_remove(i);
+                continue;
+            }
+            let d_sq = positions[pair.0.index()].distance_sq_to(positions[pair.1.index()]);
+            if d_sq <= self.range_sq && !energy.is_depleted(pair.0) && !energy.is_depleted(pair.1) {
+                out.push(pair);
+            }
+            let vp = self.vmax[pair.0.index()] + self.vmax[pair.1.index()];
+            let exit = self.range + HOT_EXIT_STEPS * vp * self.dt_secs;
+            if d_sq > exit * exit {
+                // Far enough to predict ahead again (vp > 0, else the
+                // exit band collapses to the range and d ≤ range keeps
+                // the pair hot; an immobile out-of-range pair was never
+                // classified hot to begin with).
+                let due = step + predict_steps(d_sq.sqrt() - self.range, vp, self.dt_secs);
+                self.state.insert(pair, PairState::Due(due));
+                self.queue.push(due, pair);
+                self.hot.swap_remove(i);
+                continue;
+            }
+            i += 1;
         }
     }
 
-    /// Total watched pairs across all regions (diagnostics).
+    /// Total watched pairs (diagnostics).
     #[must_use]
     pub fn watched_pairs(&self) -> usize {
-        self.regions.iter().map(|r| r.state.len()).sum()
+        self.state.len()
     }
 
     fn cell_index(&self, p: Point) -> usize {
@@ -420,47 +403,28 @@ impl ContactEngine {
     /// number of mobility steps the supplied positions trail the next
     /// `collect` call by (1 when seeding from a rebuild, 0 in-step).
     fn watch_neighbourhood(&mut self, node: NodeId, step: u64, positions: &[Point], lag: u64) {
-        let shared = EngineShared {
-            range: self.range,
-            range_sq: self.range * self.range,
-            dt_secs: self.dt_secs,
-            cols: self.cols,
-            node_cell: &self.node_cell,
-            vmax: &self.vmax,
-        };
         let c = self.node_cell[node.index()] as usize;
         let cx = c % self.cols;
         let cy = c / self.cols;
-        let region_count = self.regions.len();
         for ny in cy.saturating_sub(1)..=(cy + 1).min(self.rows - 1) {
             for nx in cx.saturating_sub(1)..=(cx + 1).min(self.cols - 1) {
-                for &other in &self.cells[ny * self.cols + nx] {
+                let cell = ny * self.cols + nx;
+                // Index loop: classification never touches cell occupancy.
+                for k in 0..self.cells[cell].len() {
+                    let other = self.cells[cell][k];
                     if other == node {
                         continue;
                     }
                     let pair = ContactKey::new(node, other);
-                    let region = &mut self.regions[pair_region(pair, region_count)];
-                    if region.state.get(&pair) == Some(&PairState::Hot) {
+                    if self.state.get(&pair) == Some(&PairState::Hot) {
                         continue;
                     }
-                    region.classify(pair, step, lag, positions, &shared);
+                    self.classify(pair, step, lag, positions);
                 }
             }
         }
     }
-}
 
-/// Read-only engine context shared with the region phase.
-struct EngineShared<'a> {
-    range: f64,
-    range_sq: f64,
-    dt_secs: f64,
-    cols: usize,
-    node_cell: &'a [u32],
-    vmax: &'a [f64],
-}
-
-impl EngineShared<'_> {
     /// Chebyshev cell distance ≤ 1 — the watchability criterion. Two
     /// nodes in non-adjacent cells are strictly farther apart than the
     /// range, and re-entering adjacency necessarily crosses a cell
@@ -472,56 +436,6 @@ impl EngineShared<'_> {
         let (bx, by) = (b % self.cols, b / self.cols);
         ax.abs_diff(bx) <= 1 && ay.abs_diff(by) <= 1
     }
-}
-
-impl Region {
-    /// Fires this region's due pair rechecks, then scans its hot list,
-    /// collecting in-range non-depleted pairs into `self.out`.
-    fn step(&mut self, step: u64, positions: &[Point], energy: &EnergyMeter, eng: &EngineShared) {
-        self.out.clear();
-        // Due rechecks first: a pair predicted for this very step may be
-        // in range right now, and classification routes it into the hot
-        // list scanned below.
-        while let Some((due, pair)) = self.queue.pop_due(step) {
-            if self.state.get(&pair) != Some(&PairState::Due(due)) {
-                continue; // stale: the pair was re-predicted or went hot
-            }
-            if !eng.cells_adjacent(pair) {
-                self.state.remove(&pair);
-                continue;
-            }
-            self.classify(pair, step, 0, positions, eng);
-        }
-        // Hot scan: exact distance check every step for every pair near
-        // the range boundary. Index loop because demotions swap-remove.
-        let mut i = 0;
-        while i < self.hot.len() {
-            let pair = self.hot[i];
-            if !eng.cells_adjacent(pair) {
-                self.state.remove(&pair);
-                self.hot.swap_remove(i);
-                continue;
-            }
-            let d_sq = positions[pair.0.index()].distance_sq_to(positions[pair.1.index()]);
-            if d_sq <= eng.range_sq && !energy.is_depleted(pair.0) && !energy.is_depleted(pair.1) {
-                self.out.push(pair);
-            }
-            let vp = eng.vmax[pair.0.index()] + eng.vmax[pair.1.index()];
-            let exit = eng.range + HOT_EXIT_STEPS * vp * eng.dt_secs;
-            if d_sq > exit * exit {
-                // Far enough to predict ahead again (vp > 0, else the
-                // exit band collapses to the range and d ≤ range keeps
-                // the pair hot; an immobile out-of-range pair was never
-                // classified hot to begin with).
-                let due = step + predict_steps(d_sq.sqrt() - eng.range, vp, eng.dt_secs);
-                self.state.insert(pair, PairState::Due(due));
-                self.queue.push(due, pair);
-                self.hot.swap_remove(i);
-                continue;
-            }
-            i += 1;
-        }
-    }
 
     /// Places `pair` in the watch set from its current geometry: inside
     /// the hot band → hot (checked every step); approachable → predicted
@@ -529,17 +443,10 @@ impl Region {
     /// close, and any future motion re-watches it via a cell crossing).
     /// `lag` shifts the prediction earlier when the supplied positions
     /// trail the next `collect` by that many mobility steps.
-    fn classify(
-        &mut self,
-        pair: ContactKey,
-        step: u64,
-        lag: u64,
-        positions: &[Point],
-        eng: &EngineShared,
-    ) {
+    fn classify(&mut self, pair: ContactKey, step: u64, lag: u64, positions: &[Point]) {
         let d_sq = positions[pair.0.index()].distance_sq_to(positions[pair.1.index()]);
-        let vp = eng.vmax[pair.0.index()] + eng.vmax[pair.1.index()];
-        let enter = eng.range + HOT_ENTER_STEPS * vp * eng.dt_secs;
+        let vp = self.vmax[pair.0.index()] + self.vmax[pair.1.index()];
+        let enter = self.range + HOT_ENTER_STEPS * vp * self.dt_secs;
         if d_sq <= enter * enter {
             if self.state.insert(pair, PairState::Hot) != Some(PairState::Hot) {
                 self.hot.push(pair);
@@ -552,17 +459,11 @@ impl Region {
             return;
         }
         let due = step
-            .saturating_add(predict_steps(d_sq.sqrt() - eng.range, vp, eng.dt_secs))
+            .saturating_add(predict_steps(d_sq.sqrt() - self.range, vp, self.dt_secs))
             .saturating_sub(lag);
         self.state.insert(pair, PairState::Due(due));
         self.queue.push(due, pair);
     }
-}
-
-/// Stable pair → region assignment: pure function of the pair id, so a
-/// pair lives in one region forever and regions never exchange state.
-fn pair_region(pair: ContactKey, regions: usize) -> usize {
-    pair.0 .0 as usize % regions
 }
 
 /// Conservative steps until a pair `slack` metres outside the range could
@@ -642,7 +543,7 @@ mod tests {
             })
             .collect();
         let energy = EnergyMeter::new(n, RadioConfig::paper_default());
-        let mut engine = ContactEngine::new(area, range, 1.0, 3, &positions, vmax.clone());
+        let mut engine = ContactEngine::new(area, range, 1.0, &positions, vmax.clone());
         let mut got = Vec::new();
         for step in 0..400u64 {
             // Move every node within its cap (pinned nodes stay put; the
@@ -662,7 +563,7 @@ mod tests {
                 positions[i] = if d > cap { p.step_toward(q, cap) } else { q };
             }
             got.clear();
-            engine.collect(step, &positions, &energy, 2, &mut got);
+            engine.collect(step, &positions, &energy, &mut got);
             got.sort_unstable();
             let mut want = Vec::new();
             for a in 0..n {
@@ -688,12 +589,12 @@ mod tests {
             .collect();
         let vmax = vec![2.0; n];
         let energy = EnergyMeter::new(n, RadioConfig::paper_default());
-        let mut a = ContactEngine::new(area, range, 1.0, 1, &positions, vmax.clone());
-        let mut b = ContactEngine::new(area, range, 1.0, 4, &positions, vmax);
+        let mut a = ContactEngine::new(area, range, 1.0, &positions, vmax.clone());
+        let mut b = ContactEngine::new(area, range, 1.0, &positions, vmax);
         b.rebuild(&positions, 57);
         let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
-        a.collect(57, &positions, &energy, 1, &mut out_a);
-        b.collect(57, &positions, &energy, 3, &mut out_b);
+        a.collect(57, &positions, &energy, &mut out_a);
+        b.collect(57, &positions, &energy, &mut out_b);
         out_a.sort_unstable();
         out_b.sort_unstable();
         assert_eq!(out_a, out_b);

@@ -616,7 +616,6 @@ pub struct SimulationBuilder {
     recovery: Option<RecoveryPolicy>,
     check_every: Option<u64>,
     profile: bool,
-    threads: usize,
     kernel_mode: KernelMode,
     mobilities: Vec<Box<dyn MobilityModel>>,
     schedule: Vec<ScheduledMessage>,
@@ -640,7 +639,6 @@ impl SimulationBuilder {
             recovery: None,
             check_every: None,
             profile: false,
-            threads: 1,
             kernel_mode: KernelMode::default(),
             mobilities: Vec::new(),
             schedule: Vec::new(),
@@ -654,22 +652,6 @@ impl SimulationBuilder {
     #[must_use]
     pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
         self.kernel_mode = mode;
-        self
-    }
-
-    /// Sets the shard count for the data-parallel step phases (mobility
-    /// stepping and striped contact detection). Default 1 = the serial
-    /// path. Output is byte-identical at any value: sharding changes who
-    /// computes each node's step, never what is computed — see DESIGN.md
-    /// §10 for the determinism argument.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn threads(mut self, n: usize) -> Self {
-        assert!(n > 0, "threads must be at least 1");
-        self.threads = n;
         self
     }
 
@@ -874,16 +856,11 @@ impl SimulationBuilder {
                 self.area,
                 self.radio.range_m,
                 self.step.as_secs(),
-                self.threads,
                 &positions,
                 vmax,
             )
         });
         let grid = SpatialGrid::new(self.area, grid_cell);
-        // Stripe count for the time-stepped sweep is a pure function of
-        // the static grid geometry and the threads knob, so it is fixed
-        // here instead of being re-derived (and buffer-resized) per step.
-        let stripes = self.threads.min(grid.row_count()).max(1);
         let faults = self
             .faults
             .map(|plan| FaultInjector::new(plan, &rng_root, n));
@@ -923,19 +900,9 @@ impl SimulationBuilder {
             mobility,
             node_rngs,
             grid,
-            threads: self.threads,
-            // OS threads actually spawned per phase: capped by the host's
-            // core count. Purely a wall-clock decision — shard boundaries
-            // and merge order depend only on `threads`, so a 8-thread run
-            // on a 1-core box is byte-identical to the same run on 8 cores.
-            workers: self
-                .threads
-                .min(std::thread::available_parallelism().map_or(1, usize::from)),
             kernel_mode: self.kernel_mode,
             contact_engine,
             scratch_in_range: Vec::new(),
-            stripes,
-            stripe_buffers: vec![Vec::new(); stripes],
             schedule: self.schedule,
             next_scheduled: 0,
             next_message_id: 0,
@@ -960,7 +927,7 @@ impl SimulationBuilder {
 ///
 /// This is the body of a snapshot file (see [`crate::snapshot`]). Static
 /// configuration — the scenario, the radio, buffer capacities, the fault
-/// *plan*, the recovery *policy*, thread count — is deliberately absent:
+/// *plan*, the recovery *policy* — is deliberately absent:
 /// a restore rebuilds the world from the same scenario and then overwrites
 /// only the dynamic state below, so the document stays small and a
 /// configuration drift between save and restore surfaces as a
@@ -968,7 +935,7 @@ impl SimulationBuilder {
 ///
 /// Deliberately *not* captured, because it is derived or wall-clock-only:
 /// the spatial grid (rebuilt from positions every step), scratch pair
-/// buffers, the worker count, and the phase profiler.
+/// buffers, and the phase profiler.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorldState {
     /// The scenario seed the world was built with (pairing check).
@@ -1079,11 +1046,6 @@ pub struct Simulation<P> {
     mobility: MobilityStore,
     node_rngs: Vec<SimRng>,
     grid: SpatialGrid,
-    /// Configured shard count for the data-parallel phases (≥ 1).
-    threads: usize,
-    /// OS threads actually used (`min(threads, host cores)`); wall-clock
-    /// only, never affects output.
-    workers: usize,
     /// Which contact-detection core this world runs on.
     kernel_mode: KernelMode,
     /// The predicted-crossing scheduler; present iff the mode is
@@ -1092,12 +1054,6 @@ pub struct Simulation<P> {
     contact_engine: Option<ContactEngine>,
     /// In-range pair buffer reused across steps (was allocated per step).
     scratch_in_range: Vec<ContactKey>,
-    /// Stripe count for the time-stepped sweep, fixed at build time from
-    /// the static grid geometry (hoisted out of the per-step path).
-    stripes: usize,
-    /// Per-stripe pair buffers for sharded contact detection, reused
-    /// across steps and merged in fixed stripe order.
-    stripe_buffers: Vec<Vec<ContactKey>>,
     schedule: Vec<ScheduledMessage>,
     next_scheduled: usize,
     next_message_id: u64,
@@ -1129,12 +1085,6 @@ impl<P: Protocol> Simulation<P> {
     #[must_use]
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The configured shard count for the data-parallel step phases.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Which contact-detection core this world runs on.
@@ -1188,7 +1138,9 @@ impl<P: Protocol> Simulation<P> {
     pub fn export_metrics(&self) -> MetricsRegistry {
         let mut registry = MetricsRegistry::new();
         self.api.counters.export(&mut registry);
-        registry.set_gauge("kernel.threads", self.threads as f64);
+        // The step kernel is serial; the gauge stays for dashboards and
+        // benchmark host records that read it.
+        registry.set_gauge("kernel.threads", 1.0);
         self.protocol.export_metrics(&mut registry);
         if self.profiler.is_enabled() {
             for t in self.profiler.timings() {
@@ -1215,8 +1167,7 @@ impl<P: Protocol> Simulation<P> {
     /// from outside: `step_once` borrows the world exclusively). A run
     /// restored from the captured state by [`Simulation::restore`] and
     /// stepped to the horizon produces the same trace and summary, byte
-    /// for byte, as the uninterrupted run — at any thread count, because
-    /// every piece of output-affecting state (including each RNG stream's
+    /// for byte, as the uninterrupted run, because every piece of output-affecting state (including each RNG stream's
     /// exact position) is in the document.
     #[must_use]
     pub fn snapshot(&self) -> WorldState {
@@ -1425,16 +1376,8 @@ impl<P: Protocol> Simulation<P> {
         let step_scope = self.profiler.start();
 
         // 1. Movement. Each node's next position depends only on its own
-        // mobility state and its own RNG stream (`node_rngs[i]`), so the
-        // node axis is data-parallel: any partition computes identical
-        // positions and leaves every RNG in an identical state.
+        // mobility state and its own RNG stream (`node_rngs[i]`).
         let scope = self.profiler.start();
-        let n = self.mobility.len();
-        let mobility_chunk = if self.workers > 1 && n > 1 {
-            n.div_ceil(self.workers)
-        } else {
-            n
-        };
         match &mut self.mobility {
             MobilityStore::Fleet(fleet) => {
                 fleet.step_all(
@@ -1442,38 +1385,17 @@ impl<P: Protocol> Simulation<P> {
                     &mut self.node_rngs,
                     dt,
                     self.api.area,
-                    mobility_chunk,
                 );
             }
             MobilityStore::Boxed(mobilities) => {
-                if mobility_chunk < n {
-                    let area = self.api.area;
-                    std::thread::scope(|s| {
-                        for ((positions, mobilities), rngs) in self
-                            .api
-                            .positions
-                            .chunks_mut(mobility_chunk)
-                            .zip(mobilities.chunks_mut(mobility_chunk))
-                            .zip(self.node_rngs.chunks_mut(mobility_chunk))
-                        {
-                            s.spawn(move || {
-                                for ((p, m), r) in positions.iter_mut().zip(mobilities).zip(rngs) {
-                                    *p = m.step(*p, dt, area, r);
-                                }
-                            });
-                        }
-                    });
-                } else {
-                    for ((p, m), r) in self
-                        .api
-                        .positions
-                        .iter_mut()
-                        .zip(mobilities.iter_mut())
-                        .zip(self.node_rngs.iter_mut())
-                        .take(n)
-                    {
-                        *p = m.step(*p, dt, self.api.area, r);
-                    }
+                for ((p, m), r) in self
+                    .api
+                    .positions
+                    .iter_mut()
+                    .zip(mobilities.iter_mut())
+                    .zip(self.node_rngs.iter_mut())
+                {
+                    *p = m.step(*p, dt, self.api.area, r);
                 }
             }
         }
@@ -1527,78 +1449,28 @@ impl<P: Protocol> Simulation<P> {
         // in-range pair list: the event engine tracks a conservative
         // superset of near pairs and distance-checks exactly the pairs
         // that could be in range this step; the time-stepped sweep
-        // re-enumerates the whole grid. The sweep is sharded across row
-        // stripes: each stripe enumerates the pairs whose home cell lies
-        // in its rows into its own buffer, buffers are merged in
-        // ascending stripe order, and the merged list is sorted — the
-        // same unique pair set in the same final order as the serial
-        // sweep, whatever the stripe count.
+        // re-enumerates the whole grid.
         let scope = self.profiler.start();
         self.scratch_in_range.clear();
         let energy = &self.api.energy;
         let positions = &self.api.positions;
-        let range = self.api.radio.range_m;
         if let Some(engine) = self.contact_engine.as_mut() {
             engine.collect(
                 self.api.counters.steps,
                 positions,
                 energy,
-                self.workers,
                 &mut self.scratch_in_range,
             );
         } else {
             self.grid.rebuild(positions);
-            let rows = self.grid.row_count();
-            let stripes = self.stripes;
-            if stripes > 1 {
-                let per = rows.div_ceil(stripes);
-                let grid = &self.grid;
-                let sweep_stripe = |si: usize, buf: &mut Vec<ContactKey>| {
-                    buf.clear();
-                    grid.for_each_pair_in_rows(
-                        positions,
-                        range,
-                        si * per,
-                        (si + 1) * per,
-                        |a, b| {
-                            // A depleted radio forms no links
-                            // (finite-battery model).
-                            if !energy.is_depleted(a) && !energy.is_depleted(b) {
-                                buf.push(ContactKey(a, b));
-                            }
-                        },
-                    );
-                };
-                let bufs = &mut self.stripe_buffers[..stripes];
-                if self.workers > 1 {
-                    let per_worker = stripes.div_ceil(self.workers);
-                    std::thread::scope(|s| {
-                        for (w, worker_bufs) in bufs.chunks_mut(per_worker).enumerate() {
-                            let sweep_stripe = &sweep_stripe;
-                            s.spawn(move || {
-                                for (off, buf) in worker_bufs.iter_mut().enumerate() {
-                                    sweep_stripe(w * per_worker + off, buf);
-                                }
-                            });
-                        }
-                    });
-                } else {
-                    for (si, buf) in bufs.iter_mut().enumerate() {
-                        sweep_stripe(si, buf);
-                    }
-                }
-                for buf in &self.stripe_buffers[..stripes] {
-                    self.scratch_in_range.extend_from_slice(buf);
-                }
-            } else {
-                let in_range = &mut self.scratch_in_range;
-                self.grid.for_each_pair_within(positions, range, |a, b| {
+            let in_range = &mut self.scratch_in_range;
+            self.grid
+                .for_each_pair_within(positions, self.api.radio.range_m, |a, b| {
                     // A depleted radio forms no links (finite-battery model).
                     if !energy.is_depleted(a) && !energy.is_depleted(b) {
                         in_range.push(ContactKey(a, b));
                     }
                 });
-            }
         }
         self.scratch_in_range.sort_unstable();
         // 2b. Link-level fault injection: crashed nodes form no links,

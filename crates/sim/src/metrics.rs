@@ -493,7 +493,7 @@ pub struct KernelCounters {
     /// Copies purged by the TTL sweep.
     pub ttl_expiries: u64,
     /// In-range pairs emitted by contact detection, summed over all steps
-    /// (the sharded sweep's workload measure). Not part of [`Self::events`]
+    /// (the contact phase's workload measure). Not part of [`Self::events`]
     /// — pairs are an input to the diff, not a kernel event.
     pub contact_pairs: u64,
     /// Senders visited by the batched transfer pass, summed over all steps.

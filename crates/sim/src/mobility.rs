@@ -201,7 +201,7 @@ impl MobilityModel for RandomWaypoint {
 /// trait objects that is a pointer chase per node. When every node is a
 /// plain [`RandomWaypoint`] (the paper's only mobility model), the walk
 /// state packs into parallel columns — one cache line serves several
-/// nodes, and the per-chunk parallel split needs no `dyn` dispatch.
+/// nodes, and the walk needs no `dyn` dispatch.
 ///
 /// The per-node step logic is an exact replica of
 /// [`RandomWaypoint::step`]: the same RNG draws in the same order, the
@@ -277,65 +277,82 @@ impl RandomWaypointFleet {
         self.max_speed[i]
     }
 
-    /// Advances every node by `dt`, writing new positions in place.
-    /// `chunk` is the shard width of the data-parallel split; a chunk
-    /// covering all nodes runs serially on the calling thread. Sharding
-    /// is wall-clock-only: each node's step reads and writes only its own
-    /// columns and its own RNG, so any partition computes the same state.
+    /// Advances every node by `dt`, writing new positions in place. The
+    /// per-node step must mirror [`RandomWaypoint::step`] exactly — same
+    /// draws, same arithmetic, same order — or fleet and boxed worlds
+    /// drift apart.
     ///
     /// # Panics
     ///
-    /// Panics if `positions` or `rngs` disagree with the fleet length, or
-    /// `chunk` is zero.
+    /// Panics if `positions` or `rngs` disagree with the fleet length.
     pub fn step_all(
         &mut self,
         positions: &mut [Point],
         rngs: &mut [SimRng],
         dt: SimDuration,
         area: Area,
-        chunk: usize,
     ) {
-        let n = self.len();
-        assert_eq!(positions.len(), n, "one position per node");
-        assert_eq!(rngs.len(), n, "one RNG stream per node");
-        assert!(chunk > 0, "chunk width must be positive");
-        if chunk >= n {
-            step_fleet_slice(
-                positions,
-                rngs,
-                &self.min_speed,
-                &self.max_speed,
-                &self.max_pause,
-                &mut self.phase,
-                &mut self.target,
-                &mut self.speed,
-                &mut self.remaining,
-                dt,
-                area,
-            );
-            return;
-        }
-        std::thread::scope(|s| {
-            let iter = positions
-                .chunks_mut(chunk)
-                .zip(rngs.chunks_mut(chunk))
-                .zip(self.min_speed.chunks(chunk))
-                .zip(self.max_speed.chunks(chunk))
-                .zip(self.max_pause.chunks(chunk))
-                .zip(self.phase.chunks_mut(chunk))
-                .zip(self.target.chunks_mut(chunk))
-                .zip(self.speed.chunks_mut(chunk))
-                .zip(self.remaining.chunks_mut(chunk));
-            for ((((((((pos, rng), min_s), max_s), max_p), phase), target), speed), remaining) in
-                iter
-            {
-                s.spawn(move || {
-                    step_fleet_slice(
-                        pos, rng, min_s, max_s, max_p, phase, target, speed, remaining, dt, area,
-                    );
-                });
+        assert_eq!(positions.len(), self.len(), "one position per node");
+        assert_eq!(rngs.len(), self.len(), "one RNG stream per node");
+        let RandomWaypointFleet {
+            min_speed,
+            max_speed,
+            max_pause,
+            phase,
+            target,
+            speed,
+            remaining,
+        } = self;
+        for i in 0..positions.len() {
+            let rng = &mut rngs[i];
+            let mut pos = positions[i];
+            let mut budget = dt.as_secs();
+            while budget > 0.0 {
+                match phase[i] {
+                    FLEET_NEED_TARGET => {
+                        target[i] =
+                            Point::new(rng.uniform(0.0, area.width), rng.uniform(0.0, area.height));
+                        speed[i] = if max_speed[i] > min_speed[i] {
+                            rng.uniform(min_speed[i], max_speed[i])
+                        } else {
+                            min_speed[i]
+                        };
+                        phase[i] = FLEET_WALKING;
+                    }
+                    FLEET_WALKING => {
+                        let dist_left = pos.distance_to(target[i]);
+                        let dist_possible = speed[i] * budget;
+                        if dist_possible >= dist_left {
+                            pos = target[i];
+                            budget -= if speed[i] > 0.0 {
+                                dist_left / speed[i]
+                            } else {
+                                budget
+                            };
+                            remaining[i] = if max_pause[i] > 0.0 {
+                                rng.uniform(0.0, max_pause[i])
+                            } else {
+                                0.0
+                            };
+                            phase[i] = FLEET_PAUSED;
+                        } else {
+                            pos = pos.step_toward(target[i], dist_possible);
+                            budget = 0.0;
+                        }
+                    }
+                    _ => {
+                        if remaining[i] > budget {
+                            remaining[i] -= budget;
+                            budget = 0.0;
+                        } else {
+                            budget -= remaining[i];
+                            phase[i] = FLEET_NEED_TARGET;
+                        }
+                    }
+                }
             }
-        });
+            positions[i] = pos;
+        }
     }
 
     /// Node `i`'s walk state as the same opaque document a boxed
@@ -375,75 +392,6 @@ impl RandomWaypointFleet {
         self.speed[i] = speed;
         self.remaining[i] = remaining;
         Ok(())
-    }
-}
-
-/// The fleet's per-node step kernel over one shard of the columns. Must
-/// mirror [`RandomWaypoint::step`] exactly — same draws, same arithmetic,
-/// same order — or fleet and boxed worlds drift apart.
-#[allow(clippy::too_many_arguments)] // the SoA column list
-fn step_fleet_slice(
-    positions: &mut [Point],
-    rngs: &mut [SimRng],
-    min_speed: &[f64],
-    max_speed: &[f64],
-    max_pause: &[f64],
-    phase: &mut [u8],
-    target: &mut [Point],
-    speed: &mut [f64],
-    remaining: &mut [f64],
-    dt: SimDuration,
-    area: Area,
-) {
-    for i in 0..positions.len() {
-        let rng = &mut rngs[i];
-        let mut pos = positions[i];
-        let mut budget = dt.as_secs();
-        while budget > 0.0 {
-            match phase[i] {
-                FLEET_NEED_TARGET => {
-                    target[i] =
-                        Point::new(rng.uniform(0.0, area.width), rng.uniform(0.0, area.height));
-                    speed[i] = if max_speed[i] > min_speed[i] {
-                        rng.uniform(min_speed[i], max_speed[i])
-                    } else {
-                        min_speed[i]
-                    };
-                    phase[i] = FLEET_WALKING;
-                }
-                FLEET_WALKING => {
-                    let dist_left = pos.distance_to(target[i]);
-                    let dist_possible = speed[i] * budget;
-                    if dist_possible >= dist_left {
-                        pos = target[i];
-                        budget -= if speed[i] > 0.0 {
-                            dist_left / speed[i]
-                        } else {
-                            budget
-                        };
-                        remaining[i] = if max_pause[i] > 0.0 {
-                            rng.uniform(0.0, max_pause[i])
-                        } else {
-                            0.0
-                        };
-                        phase[i] = FLEET_PAUSED;
-                    } else {
-                        pos = pos.step_toward(target[i], dist_possible);
-                        budget = 0.0;
-                    }
-                }
-                _ => {
-                    if remaining[i] > budget {
-                        remaining[i] -= budget;
-                        budget = 0.0;
-                    } else {
-                        budget -= remaining[i];
-                        phase[i] = FLEET_NEED_TARGET;
-                    }
-                }
-            }
-        }
-        positions[i] = pos;
     }
 }
 

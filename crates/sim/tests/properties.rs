@@ -10,6 +10,7 @@ use dtn_sim::mobility::{MobilityModel, RandomWalk, RandomWaypoint};
 use dtn_sim::radio::RadioConfig;
 use dtn_sim::rng::SimRng;
 use dtn_sim::time::{SimDuration, SimTime};
+use dtn_sim::transfer::TransferEngine;
 use dtn_sim::world::{NodeId, SpatialGrid};
 use std::sync::Arc;
 
@@ -225,5 +226,116 @@ proptest! {
         let _ = noise.next_u64();
         let mut after = root.stream(label);
         prop_assert_eq!(direct.next_u64(), after.next_u64());
+    }
+}
+
+/// One op against a [`TransferEngine`]; the property under test is the
+/// active-sender index the transfer pass steps instead of scanning every
+/// queue.
+#[derive(Debug, Clone)]
+enum EngineOp {
+    Enqueue {
+        from: u32,
+        to: u32,
+        msg: u64,
+        bytes: u64,
+    },
+    Step {
+        dt_secs: f64,
+    },
+    AbortBetween {
+        a: u32,
+        b: u32,
+    },
+    Cancel {
+        from: u32,
+        to: u32,
+        msg: u64,
+    },
+}
+
+fn arb_engine_op() -> impl Strategy<Value = EngineOp> {
+    (
+        0u8..4,
+        0u32..5,
+        0u32..5,
+        0u64..6,
+        1u64..150_000,
+        0.1f64..5.0,
+    )
+        .prop_map(|(kind, from, to, msg, bytes, dt_secs)| match kind {
+            0 => EngineOp::Enqueue {
+                from,
+                to,
+                msg,
+                bytes,
+            },
+            1 => EngineOp::Step { dt_secs },
+            2 => EngineOp::AbortBetween { a: from, b: to },
+            _ => EngineOp::Cancel { from, to, msg },
+        })
+}
+
+/// Brute-force reference: the set of senders with non-empty queues, read
+/// straight off the queues the index is supposed to mirror.
+fn scan_active(engine: &TransferEngine, nodes: u32) -> Vec<u32> {
+    (0..nodes)
+        .filter(|&n| engine.queue_len(NodeId(n)) > 0)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The batched active-sender index agrees with a brute-force scan of
+    /// all queues after every op in an arbitrary interleaving of
+    /// enqueue/step/abort/cancel, with and without checkpointing.
+    #[test]
+    fn active_index_matches_brute_force_scan(
+        resume in prop::bool::ANY,
+        ops in prop::collection::vec(arb_engine_op(), 1..60)
+    ) {
+        const NODES: u32 = 5;
+        let mut engine = TransferEngine::new(NODES as usize, 10_000.0);
+        engine.set_resume(resume);
+        let mut now = SimTime::ZERO;
+        for op in ops {
+            match op {
+                EngineOp::Enqueue { from, to, msg, bytes } => {
+                    if from != to {
+                        let _ = engine.enqueue(
+                            NodeId(from), NodeId(to), MessageId(msg), bytes, now,
+                        );
+                    }
+                }
+                EngineOp::Step { dt_secs } => {
+                    let dt = SimDuration::from_secs(dt_secs);
+                    let _ = engine.step(
+                        dt,
+                        now,
+                        // Some senders deterministically lose copies so the
+                        // SourceGone drain path maintains the index too.
+                        |n, m| (u64::from(n.0) + m.0) % 5 != 0,
+                        |_, _| 10.0,
+                    );
+                    now += dt;
+                }
+                EngineOp::AbortBetween { a, b } => {
+                    let _ = engine.abort_between(NodeId(a), NodeId(b), now);
+                }
+                EngineOp::Cancel { from, to, msg } => {
+                    let _ = engine.cancel(NodeId(from), NodeId(to), MessageId(msg));
+                }
+            }
+            let audit = engine.audit_active_index();
+            prop_assert!(audit.is_ok(), "index audit failed: {:?}", audit);
+            let scanned = scan_active(&engine, NODES);
+            prop_assert_eq!(
+                engine.active_senders(),
+                scanned.len(),
+                "index size diverged from scan {:?}",
+                scanned
+            );
+        }
     }
 }

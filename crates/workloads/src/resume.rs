@@ -259,60 +259,57 @@ mod tests {
     }
 
     #[test]
-    fn kill_and_resume_is_byte_identical_across_seeds_and_threads() {
+    fn kill_and_resume_is_byte_identical_across_seeds() {
         let dir = std::env::temp_dir().join(format!("dtn-resume-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        for threads in [1usize, 8] {
-            for seed in [11u64, 12, 13] {
-                let mut s = scenario();
-                s.threads = Some(threads);
-                let m = meta(&s, seed);
-                let horizon = SimTime::from_secs(s.duration_secs);
+        for seed in [11u64, 12, 13] {
+            let s = scenario();
+            let m = meta(&s, seed);
+            let horizon = SimTime::from_secs(s.duration_secs);
 
-                // The uninterrupted golden run.
-                let mut golden = fresh_sim(&m);
-                let golden_summary = golden.run_until(horizon);
-                let golden_trace = golden.api().trace().render();
+            // The uninterrupted golden run.
+            let mut golden = fresh_sim(&m);
+            let golden_summary = golden.run_until(horizon);
+            let golden_trace = golden.api().trace().render();
 
-                // Kill mid-run, flushing a final checkpoint.
-                let mut victim = fresh_sim(&m);
-                let kill_at = SimTime::from_secs(500.0);
-                let progress = run_with_snapshots(
-                    &mut victim,
-                    &m,
-                    horizon,
-                    Some(&SnapshotPolicy {
-                        every_secs: 200.0,
-                        dir: dir.clone(),
-                    }),
-                    &|now| now >= kill_at,
-                )
-                .unwrap();
-                let RunProgress::Interrupted { snapshot, .. } = progress else {
-                    panic!("the interrupt flag must stop the run");
-                };
-                let from = snapshot.expect("a policy was active");
-                assert_eq!(latest_snapshot(&dir).unwrap().as_deref(), Some(&*from));
+            // Kill mid-run, flushing a final checkpoint.
+            let mut victim = fresh_sim(&m);
+            let kill_at = SimTime::from_secs(500.0);
+            let progress = run_with_snapshots(
+                &mut victim,
+                &m,
+                horizon,
+                Some(&SnapshotPolicy {
+                    every_secs: 200.0,
+                    dir: dir.clone(),
+                }),
+                &|now| now >= kill_at,
+            )
+            .unwrap();
+            let RunProgress::Interrupted { snapshot, .. } = progress else {
+                panic!("the interrupt flag must stop the run");
+            };
+            let from = snapshot.expect("a policy was active");
+            assert_eq!(latest_snapshot(&dir).unwrap().as_deref(), Some(&*from));
 
-                // Resume from the on-disk checkpoint and finish.
-                let doc = read_snapshot(&from).unwrap();
-                assert_eq!(doc.meta, m, "run identity round-trips");
-                let mut resumed = resume_simulation(&doc).unwrap();
-                let resumed_summary = resumed.run_until(horizon);
-                assert_eq!(
-                    resumed_summary, golden_summary,
-                    "summary diverged (seed {seed}, {threads} threads)"
-                );
-                assert_eq!(
-                    resumed.api().trace().render(),
-                    golden_trace,
-                    "trace diverged (seed {seed}, {threads} threads)"
-                );
-                // Clean the per-iteration checkpoints so the next seed's
-                // latest-snapshot assertion sees only its own files.
-                for entry in std::fs::read_dir(&dir).unwrap() {
-                    let _ = std::fs::remove_file(entry.unwrap().path());
-                }
+            // Resume from the on-disk checkpoint and finish.
+            let doc = read_snapshot(&from).unwrap();
+            assert_eq!(doc.meta, m, "run identity round-trips");
+            let mut resumed = resume_simulation(&doc).unwrap();
+            let resumed_summary = resumed.run_until(horizon);
+            assert_eq!(
+                resumed_summary, golden_summary,
+                "summary diverged (seed {seed})"
+            );
+            assert_eq!(
+                resumed.api().trace().render(),
+                golden_trace,
+                "trace diverged (seed {seed})"
+            );
+            // Clean the per-iteration checkpoints so the next seed's
+            // latest-snapshot assertion sees only its own files.
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let _ = std::fs::remove_file(entry.unwrap().path());
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

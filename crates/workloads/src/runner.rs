@@ -142,7 +142,6 @@ pub fn build_simulation_opts(
         .radio(scenario.radio)
         .buffer_capacity(scenario.buffer_bytes)
         .drop_policy(drop_policy)
-        .threads(scenario.effective_threads())
         .kernel_mode(scenario.effective_kernel_mode())
         .nodes(scenario.nodes, || scenario.mobility.instantiate());
     if let Some(j) = scenario.battery_joules {
@@ -211,7 +210,6 @@ where
         // mechanism must not silently inherit whatever default the kernel
         // builder happens to carry.
         .drop_policy(dtn_sim::buffer::DropPolicy::DropOldest)
-        .threads(scenario.effective_threads())
         .kernel_mode(scenario.effective_kernel_mode())
         .nodes(scenario.nodes, || scenario.mobility.instantiate());
     if let Some(j) = scenario.battery_joules {
@@ -289,7 +287,6 @@ pub fn build_backend_simulation(
         .radio(scenario.radio)
         .buffer_capacity(scenario.buffer_bytes)
         .drop_policy(drop_policy)
-        .threads(scenario.effective_threads())
         .kernel_mode(scenario.effective_kernel_mode())
         .nodes(scenario.nodes, || scenario.mobility.instantiate());
     if let Some(j) = scenario.battery_joules {

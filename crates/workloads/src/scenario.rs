@@ -167,11 +167,13 @@ pub struct Scenario {
     /// every paper experiment — aborted transfers are simply lost.
     #[serde(default)]
     pub recovery: Option<dtn_sim::transfer::RecoveryPolicy>,
-    /// Shard count for the kernel's data-parallel step phases (mobility,
-    /// striped contact detection). `None` = 1 = the serial kernel. Output
-    /// is byte-identical at any value — this is a wall-clock knob only, so
-    /// it is fair to sweep it on one scenario and compare against a serial
-    /// baseline. Read through [`Scenario::effective_threads`].
+    /// Inert: the step kernel is serial, so nothing reads this value. It
+    /// is still validated (`Some(0)` is an error) and kept because:
+    /// * sweep cache keys hash the canonical scenario JSON, which contains
+    ///   `"threads"` — dropping the field would orphan every cached cell;
+    /// * snapshot [`RunMeta`](crate::resume::RunMeta) embeds the
+    ///   `Scenario`, so existing snapshot files carry it;
+    /// * the standalone `benchmark/` package assigns `threads = Some(1)`.
     #[serde(default)]
     pub threads: Option<usize>,
     /// The routing backend the incentive overlay composes with (`None` =
@@ -304,12 +306,6 @@ impl Scenario {
         fallback: dtn_routing::backend::Overlay,
     ) -> dtn_routing::backend::Overlay {
         self.overlay.unwrap_or(fallback)
-    }
-
-    /// The kernel shard count this scenario asks for (`threads`, default 1).
-    #[must_use]
-    pub fn effective_threads(&self) -> usize {
-        self.threads.unwrap_or(1)
     }
 
     /// The simulation core this scenario asks for (default: event-driven).
@@ -453,10 +449,8 @@ mod tests {
         s.threads = Some(8);
         let json = serde_json::to_string(&s).expect("serializable");
         let back: Scenario = serde_json::from_str(&json).expect("deserializable");
-        assert_eq!(back.effective_threads(), 8);
         assert_eq!(back, s);
-        // Configs written before the threads field existed still parse
-        // (and mean what they always meant: the serial kernel).
+        // Configs written before the threads field existed still parse.
         let plain = serde_json::to_string(&paper::reduced_scenario()).expect("serializable");
         let stripped = plain
             .replace(",\"threads\":null", "")
@@ -464,7 +458,6 @@ mod tests {
         assert_ne!(stripped, plain, "the field was present to strip");
         let legacy: Scenario = serde_json::from_str(&stripped).expect("legacy parses");
         assert_eq!(legacy.threads, None);
-        assert_eq!(legacy.effective_threads(), 1);
 
         s.threads = Some(0);
         assert!(s.validate().is_err(), "zero threads rejected");

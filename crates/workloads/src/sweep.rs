@@ -719,6 +719,42 @@ mod tests {
     }
 
     #[test]
+    fn cache_keys_are_pinned() {
+        // Literal keys of the reduced paper world, recorded when the
+        // kernel still read `threads`: the field is inert now, but it stays
+        // in the canonical JSON, so every existing disk-cache entry must
+        // keep its key.
+        let with_threads = |threads| {
+            let mut s = paper::reduced_scenario();
+            s.threads = threads;
+            s
+        };
+        let cells = [
+            Cell::arm(with_threads(None), Arm::Incentive, 1),
+            Cell::arm(with_threads(None), Arm::ChitChat, 1),
+            Cell::arm(with_threads(Some(1)), Arm::Incentive, 1),
+            Cell::arm(with_threads(Some(1)), Arm::ChitChat, 1),
+            Cell::backend(with_threads(None), BackendKind::Epidemic, Overlay::On, 2),
+            Cell::router(with_threads(None), RouterKind::Prophet, 3),
+        ];
+        let keys: Vec<String> = cells
+            .iter()
+            .map(|c| format!("{:032x}", c.cache_key()))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "d3e315675aac3052df7152b522ff6273",
+                "6c7298194e3f8f812f22fd3ae87d9dac",
+                "db9c3073319e6627effc501fc1dedb39",
+                "0da77092d9372b94a0f3aa941cb990a6",
+                "c3bf5f695dc53ed738b7e90394bedced",
+                "3c2c45cbd0f2f502689581587bbc3fdd",
+            ]
+        );
+    }
+
+    #[test]
     fn cache_key_ignores_name_but_nothing_else() {
         let a = Cell::arm(tiny("alpha"), Arm::Incentive, 7);
         let b = Cell::arm(tiny("beta"), Arm::Incentive, 7);

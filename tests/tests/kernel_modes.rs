@@ -6,8 +6,7 @@
 //! event scheduler (the default) and the original per-step pair sweep it
 //! replaced. These tests pit the two modes against each other at the
 //! byte level — rendered trace, run summary, protocol state — across
-//! seeds, thread counts, and a chaos + recovery + adversary-strategy
-//! stack, then check that a snapshot taken on one core refuses to
+//! seeds and a chaos + recovery + adversary-strategy stack, then check that a snapshot taken on one core refuses to
 //! restore into the other with a typed error rather than undefined
 //! drift (the cores agree on *observable* state but not on derived
 //! scheduler state, so a cross-mode resume is an identity mismatch).
@@ -21,7 +20,6 @@ use dtn_workloads::runner::{build_simulation_opts, run_once_checked};
 
 const TRACE_CAPACITY: usize = 200_000;
 const SEEDS: [u64; 3] = [101, 202, 303];
-const THREAD_COUNTS: [usize; 2] = [1, 8];
 
 /// Runs `scenario` under one kernel mode, returning every observable
 /// surface: the rendered kernel trace plus the run summary and protocol
@@ -30,11 +28,9 @@ fn observable_output(
     scenario: &Scenario,
     arm: Arm,
     seed: u64,
-    threads: usize,
     mode: KernelMode,
 ) -> (String, String) {
     let mut s = scenario.clone();
-    s.threads = Some(threads);
     s.kernel_mode = Some(mode);
     let (run, trace) = run_once_checked(&s, arm, seed, Some(TRACE_CAPACITY), Some(60));
     let summary = serde_json::to_string(&run.summary).expect("summary serializes");
@@ -43,28 +39,26 @@ fn observable_output(
 }
 
 /// Asserts both modes produce byte-identical traces and summaries over
-/// the seed × thread matrix for one scenario configuration.
+/// every seed for one scenario configuration.
 fn assert_modes_agree(scenario: &Scenario, arm: Arm, label: &str) {
     for seed in SEEDS {
-        for threads in THREAD_COUNTS {
-            let (swept_trace, swept_rest) =
-                observable_output(scenario, arm, seed, threads, KernelMode::TimeStepped);
-            let (event_trace, event_rest) =
-                observable_output(scenario, arm, seed, threads, KernelMode::EventDriven);
-            assert_eq!(
-                event_trace, swept_trace,
-                "{label}: trace diverged between modes at seed={seed}, threads={threads}"
-            );
-            assert_eq!(
-                event_rest, swept_rest,
-                "{label}: summary/stats diverged between modes at seed={seed}, threads={threads}"
-            );
-        }
+        let (swept_trace, swept_rest) =
+            observable_output(scenario, arm, seed, KernelMode::TimeStepped);
+        let (event_trace, event_rest) =
+            observable_output(scenario, arm, seed, KernelMode::EventDriven);
+        assert_eq!(
+            event_trace, swept_trace,
+            "{label}: trace diverged between modes at seed={seed}"
+        );
+        assert_eq!(
+            event_rest, swept_rest,
+            "{label}: summary/stats diverged between modes at seed={seed}"
+        );
     }
 }
 
 /// Clean-world equivalence: the event core and the time-stepped sweep
-/// are byte-identical across three seeds and threads ∈ {1, 8}.
+/// are byte-identical across three seeds.
 #[test]
 fn modes_do_not_change_a_single_byte() {
     assert_modes_agree(&fast_scenario(), Arm::Incentive, "clean");
