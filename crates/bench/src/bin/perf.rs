@@ -590,6 +590,15 @@ fn check_rows(fresh: &[BenchRow], baseline: &[BenchRow], tolerance: f64) -> Vec<
     failures
 }
 
+/// The rows to write back: `existing` minus its `mode` rows, then
+/// `fresh`, full rows before quick ones (stable within each mode).
+fn merge_rows(existing: Vec<BenchRow>, fresh: &[BenchRow], mode: &str) -> Vec<BenchRow> {
+    let mut all: Vec<BenchRow> = existing.into_iter().filter(|r| r.mode() != mode).collect();
+    all.extend(fresh.iter().cloned());
+    all.sort_by_key(|r| r.mode() == "quick");
+    all
+}
+
 const USAGE: &str = "usage: perf [--seeds N] [--quick] [--check BASELINE.json] [--tolerance F]";
 
 /// Reports a bad argument with the usage line and exits with status 2.
@@ -673,13 +682,7 @@ fn main() {
     // of the existing file, full rows first.
     let path = "BENCH_kernel.json";
     let mode = mode_name(quick);
-    let mut all: Vec<BenchRow> = read_rows(path)
-        .unwrap_or_default()
-        .into_iter()
-        .filter(|r| r.mode() != mode)
-        .collect();
-    all.extend(rows.iter().cloned());
-    all.sort_by_key(|r| r.mode() == "quick");
+    let all = merge_rows(read_rows(path).unwrap_or_default(), &rows, &mode);
     let body: Vec<String> = all.iter().map(BenchRow::to_json).collect();
     let json = format!("[\n  {}\n]\n", body.join(",\n  "));
     std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
@@ -696,5 +699,73 @@ fn main() {
             std::process::exit(1);
         }
         println!("[check] gate passed ({} rows)", rows.len());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(name: &str, mode: &str, events_per_sec: f64) -> BenchRow {
+        serde_json::from_str(&format!(
+            r#"{{"name": "{name}", "threads": 1, "mode": "{mode}", "events_per_sec": {events_per_sec}}}"#
+        ))
+        .expect("row parses")
+    }
+
+    #[test]
+    fn check_rows_compares_only_rows_of_the_same_mode() {
+        let fresh = [row("chaos-recovery-v1", "quick", 100.0)];
+        let full_only = [row("chaos-recovery-v1", "full", 1000.0)];
+        assert!(
+            check_rows(&fresh, &full_only, 0.25).is_empty(),
+            "a quick row has no full counterpart to regress against"
+        );
+        let with_quick = [
+            row("chaos-recovery-v1", "full", 110.0),
+            row("chaos-recovery-v1", "quick", 1000.0),
+        ];
+        let failures = check_rows(&fresh, &with_quick, 0.25);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("[threads=1, quick]"), "{failures:?}");
+    }
+
+    #[test]
+    fn a_capture_replaces_only_its_own_mode() {
+        let existing = vec![
+            row("a", "quick", 1.0),
+            row("a", "full", 2.0),
+            row("b", "quick", 3.0),
+        ];
+        let merged = merge_rows(existing, &[row("a", "quick", 9.0)], "quick");
+        let got: Vec<(&str, &str, f64)> = merged
+            .iter()
+            .map(|r| (r.name.as_str(), r.mode(), r.events_per_sec))
+            .collect();
+        assert_eq!(got, [("a", "full", 2.0), ("a", "quick", 9.0)]);
+
+        let merged = merge_rows(merged, &[row("c", "full", 5.0)], "full");
+        let got: Vec<(&str, &str)> = merged.iter().map(|r| (r.name.as_str(), r.mode())).collect();
+        assert_eq!(got, [("c", "full"), ("a", "quick")]);
+    }
+
+    #[test]
+    fn written_rows_read_back_with_threads_mode_and_cores() {
+        let mut r = row("perf-medium-v1", "quick", 123.5);
+        r.cores = 4;
+        r.steps = 7;
+        let back: BenchRow = serde_json::from_str(&r.to_json()).expect("written row parses");
+        assert_eq!(back.name, "perf-medium-v1");
+        assert_eq!((back.threads(), back.mode(), back.cores), (1, "quick", 4));
+        assert_eq!((back.events_per_sec, back.steps), (123.5, 7));
+
+        // Rows written before threads/mode/cores existed default to a
+        // single-thread full row with no recorded host.
+        let legacy: BenchRow =
+            serde_json::from_str(r#"{"name": "x", "events_per_sec": 1.0}"#).expect("parses");
+        assert_eq!(
+            (legacy.threads(), legacy.mode(), legacy.cores),
+            (1, "full", 0)
+        );
     }
 }
