@@ -4,7 +4,8 @@
 //!
 //! Epidemic is the MDR ceiling and traffic worst case; Direct Delivery is
 //! the traffic floor; ChitChat and the mechanism sit in between; CEDO
-//! serves explicitly requested keywords only.
+//! serves explicitly requested keywords only. The five classic routers run
+//! as routing backends with the overlay off.
 
 use dtn_bench::{figures, Cli};
 

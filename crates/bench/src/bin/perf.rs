@@ -37,14 +37,16 @@
 //! `--quick` captures (a sixth of the pinned duration, a smaller sweep
 //! plan) and `full` otherwise; the two are not comparable, so the file
 //! keeps both side by side — a capture replaces only the rows of its own
-//! mode. `cores` records the host's available parallelism. Sweep rows add
+//! mode. `cores` records the host's available parallelism and `cpu` its
+//! CPU model (`/proc/cpuinfo` "model name"; empty when unavailable, and on
+//! rows written before the field existed). Sweep rows add
 //! `cells`/`cells_per_sec` (and mirror `cells_per_sec` into
 //! `events_per_sec`); rows whose run exports the arena gauges add
 //! `bytes_per_node`.
 //!
 //! ```json
 //! [{"name": "...", "threads": n, "mode": "full|quick", "cores": n,
-//!   "wall_secs": f, "sim_secs_per_sec": f, "events_per_sec": f,
+//!   "cpu": "...", "wall_secs": f, "sim_secs_per_sec": f, "events_per_sec": f,
 //!   "steps": n, "contacts": n, "relays": n, "retried": n,
 //!   "resumed": n}, ...]
 //! ```
@@ -213,8 +215,8 @@ fn sweep_suite_plan(quick: bool) -> Vec<Cell> {
 }
 
 /// One captured baseline row. `Deserialize` doubles as the committed-
-/// baseline reader for `--check`; `threads`/`mode`/`cores` are optional
-/// there so older baselines (which lacked them) still parse.
+/// baseline reader for `--check`; `threads`/`mode`/`cores`/`cpu` are
+/// optional there so older baselines (which lacked them) still parse.
 #[derive(Debug, Clone, Deserialize)]
 struct BenchRow {
     name: String,
@@ -225,6 +227,9 @@ struct BenchRow {
     /// Available parallelism of the capturing host (0 = not recorded).
     #[serde(default)]
     cores: u64,
+    /// CPU model of the capturing host (empty = not recorded).
+    #[serde(default)]
+    cpu: String,
     #[allow(dead_code)]
     #[serde(default)]
     wall_secs: f64,
@@ -283,13 +288,15 @@ impl BenchRow {
         }
         format!(
             "{{\n    \"name\": {},\n    \"threads\": {},\n    \"mode\": {},\n    \
-             \"cores\": {},\n    \"wall_secs\": {:.6},\n    \"sim_secs_per_sec\": {:.3},\n    \
+             \"cores\": {},\n    \"cpu\": {},\n    \"wall_secs\": {:.6},\n    \
+             \"sim_secs_per_sec\": {:.3},\n    \
              \"events_per_sec\": {:.3},\n    \"steps\": {},\n    \"contacts\": {},\n    \
              \"relays\": {},\n    \"retried\": {},\n    \"resumed\": {}{sweep_cols}\n  }}",
             serde_json::to_string(&self.name).expect("string encodes"),
             self.threads(),
             serde_json::to_string(self.mode()).expect("string encodes"),
             self.cores,
+            serde_json::to_string(&self.cpu).expect("string encodes"),
             self.wall_secs,
             self.sim_secs_per_sec,
             self.events_per_sec,
@@ -305,6 +312,25 @@ impl BenchRow {
 /// The host's available parallelism, recorded in every row.
 fn cores() -> u64 {
     std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
+}
+
+/// The host's CPU model, recorded in every row; empty when
+/// `/proc/cpuinfo` is unreadable or names none.
+fn cpu() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .map(|info| cpu_model(&info))
+        .unwrap_or_default()
+}
+
+/// The first "model name" entry of a `/proc/cpuinfo` dump.
+fn cpu_model(cpuinfo: &str) -> String {
+    cpuinfo
+        .lines()
+        .find_map(|line| {
+            let (key, value) = line.split_once(':')?;
+            (key.trim() == "model name").then(|| value.trim().to_owned())
+        })
+        .unwrap_or_default()
 }
 
 fn mode_name(quick: bool) -> String {
@@ -374,6 +400,7 @@ fn bench_row(scenario: &Scenario, seeds: &[u64], quick: bool) -> BenchRow {
         threads: Some(1),
         mode: Some(mode_name(quick)),
         cores: cores(),
+        cpu: cpu(),
         wall_secs: report.wall_secs,
         sim_secs_per_sec: report.sim_secs_per_sec,
         events_per_sec: report.events_per_sec,
@@ -417,6 +444,7 @@ fn sweep_suite_row(name: &str, workers: usize, plan: &[Cell], quick: bool) -> Be
         threads: Some(workers as u64),
         mode: Some(mode_name(quick)),
         cores: cores(),
+        cpu: cpu(),
         wall_secs: wall,
         sim_secs_per_sec: sim_secs / wall,
         // Mirrors cells_per_sec so the committed comparison treats sweep
@@ -753,19 +781,35 @@ mod tests {
     fn written_rows_read_back_with_threads_mode_and_cores() {
         let mut r = row("perf-medium-v1", "quick", 123.5);
         r.cores = 4;
+        r.cpu = "AMD EPYC 7B13 \"Milan\"".into();
         r.steps = 7;
         let back: BenchRow = serde_json::from_str(&r.to_json()).expect("written row parses");
         assert_eq!(back.name, "perf-medium-v1");
         assert_eq!((back.threads(), back.mode(), back.cores), (1, "quick", 4));
+        assert_eq!(back.cpu, r.cpu);
         assert_eq!((back.events_per_sec, back.steps), (123.5, 7));
 
-        // Rows written before threads/mode/cores existed default to a
+        // Rows written before threads/mode/cores/cpu existed default to a
         // single-thread full row with no recorded host.
         let legacy: BenchRow =
             serde_json::from_str(r#"{"name": "x", "events_per_sec": 1.0}"#).expect("parses");
         assert_eq!(
-            (legacy.threads(), legacy.mode(), legacy.cores),
-            (1, "full", 0)
+            (
+                legacy.threads(),
+                legacy.mode(),
+                legacy.cores,
+                legacy.cpu.as_str()
+            ),
+            (1, "full", 0, "")
         );
+    }
+
+    #[test]
+    fn cpu_model_reads_the_first_model_name() {
+        let info = "processor\t: 0\nvendor_id\t: GenuineIntel\n\
+                    model name\t: Intel(R) Xeon(R) CPU @ 2.20GHz\n\
+                    processor\t: 1\nmodel name\t: other\n";
+        assert_eq!(cpu_model(info), "Intel(R) Xeon(R) CPU @ 2.20GHz");
+        assert_eq!(cpu_model("processor\t: 0\nfeatures\t: fp asimd\n"), "");
     }
 }

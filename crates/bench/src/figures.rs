@@ -626,8 +626,8 @@ pub mod ablation {
 pub mod baselines {
     use super::*;
     use crate::{print_scenario_header, write_csv};
+    use dtn_workloads::prelude::{BackendKind, Overlay};
     use dtn_workloads::scenario::Arm;
-    use dtn_workloads::sweep::RouterKind;
 
     fn scenario(cli: &Cli) -> Scenario {
         let mut scenario = cli.scale.base_scenario();
@@ -635,28 +635,11 @@ pub mod baselines {
         cli.prep(scenario.named("baselines"))
     }
 
-    /// Maps a grid backend to its legacy standalone-router row. ChitChat
-    /// is covered by the two arm rows; the compile-time-exhaustive match
-    /// means a new `BackendKind` variant fails this build until the
-    /// comparison table grows with it.
-    fn router_for(kind: dtn_workloads::prelude::BackendKind) -> Option<(String, RouterKind)> {
-        use dtn_workloads::prelude::BackendKind;
-        match kind {
-            BackendKind::ChitChat => None,
-            BackendKind::Epidemic => Some(("epidemic".into(), RouterKind::Epidemic)),
-            BackendKind::DirectDelivery => Some(("direct".into(), RouterKind::DirectDelivery)),
-            BackendKind::SprayAndWait(n) => {
-                Some((format!("spray&wait({n})"), RouterKind::SprayAndWait(n)))
-            }
-            BackendKind::TwoHop => Some(("two-hop".into(), RouterKind::TwoHop)),
-            BackendKind::Prophet => Some(("prophet".into(), RouterKind::Prophet)),
-        }
-    }
-
-    /// The comparison's row order: label + cell kind, one seed each. The
-    /// router rows enumerate [`dtn_workloads::prelude::BackendKind::ALL`]
-    /// (plus CEDO, which has no backend adapter) instead of a hand-written
-    /// list, so the table cannot silently fall behind the grid.
+    /// The comparison's row order: label + cell, one seed each. The paper
+    /// arms lead; the classic routers are every non-ChitChat entry of
+    /// [`BackendKind::ALL`] as a plain (`Overlay::Off`) backend cell, so
+    /// the table cannot silently fall behind the grid; CEDO, which has no
+    /// backend, closes the table.
     fn table(cli: &Cli) -> Vec<(String, Cell)> {
         let s = scenario(cli);
         let seed = cli.seeds[0];
@@ -670,16 +653,20 @@ pub mod baselines {
                 Cell::arm(s.clone(), Arm::ChitChat, seed),
             ),
         ];
-        for kind in dtn_workloads::prelude::BackendKind::ALL {
-            if let Some((label, router)) = router_for(kind) {
-                rows.push((label, Cell::router(s.clone(), router, seed)));
-            }
+        for kind in BackendKind::ALL {
+            let label = match kind {
+                BackendKind::ChitChat => continue,
+                BackendKind::SprayAndWait(n) => format!("spray&wait({n})"),
+                BackendKind::TwoHop => "two-hop".to_owned(),
+                _ => kind.tag(),
+            };
+            rows.push((label, Cell::backend(s.clone(), kind, Overlay::Off, seed)));
         }
-        rows.push(("cedo".to_owned(), Cell::router(s, RouterKind::Cedo, seed)));
+        rows.push(("cedo".to_owned(), Cell::cedo(s, seed)));
         rows
     }
 
-    /// Executor cells: both arms plus the six third-party routers.
+    /// Executor cells: both arms, the five plain classic backends and CEDO.
     #[must_use]
     pub fn cells(cli: &Cli) -> Vec<Cell> {
         table(cli).into_iter().map(|(_, cell)| cell).collect()

@@ -14,9 +14,12 @@
 //! The contract that keeps the refactor honest: with [`ChitChatBackend`]
 //! the generic router must reproduce the pre-trait `DcimRouter`
 //! byte-for-byte (pinned by the golden-equivalence suite in
-//! `tests/tests/golden_trace.rs`). Every hook here is therefore a verbatim
-//! transplant of either the old hard-wired ChitChat calls or a
-//! `baselines.rs` router's forwarding rule.
+//! `tests/tests/golden_trace.rs`). Every ChitChat hook is therefore a
+//! verbatim transplant of the old hard-wired calls. The classic backends
+//! are the only implementations of their routers: with the overlay off
+//! (`ProtocolParams::chitchat_baseline`) a `DcimRouter` over one of them
+//! *is* the plain baseline, which is how the `baselines` figure runs it
+//! (end-to-end chain tests in `crates/core/tests/backends.rs`).
 
 use std::collections::HashMap;
 
@@ -504,8 +507,7 @@ impl RouterBackend for DirectBackend {
 /// relay hand-off; a single-ticket holder waits for the destination.
 ///
 /// Grants are escrowed at send initiation and settle on the transfer
-/// outcome, mirroring `baselines::SprayAndWaitRouter`'s pending-grant
-/// bookkeeping so aborted or refused transfers refund the sender.
+/// outcome, so aborted or refused transfers refund the sender.
 #[derive(Debug, Clone)]
 pub struct SprayBackend {
     dir: InterestDirectory,
@@ -768,8 +770,8 @@ impl RouterBackend for ProphetBackend {
     }
 
     fn on_contact_open(&mut self, now: SimTime, a: NodeId, b: NodeId) {
-        // Verbatim `ProphetRouter::update_pair`: age both, bump the mutual
-        // encounter, then apply transitivity against pre-transit snapshots.
+        // RFC 6693 update: age both, bump the mutual encounter, then apply
+        // transitivity against pre-transit snapshots.
         let now = now.as_secs();
         self.tables[a.index()].age(now, &self.params);
         self.tables[b.index()].age(now, &self.params);

@@ -98,10 +98,7 @@ impl KeywordSet {
         } else {
             (&other.bits, &self.bits)
         };
-        short
-            .iter()
-            .zip(long.iter())
-            .all(|(&a, &b)| a == b)
+        short.iter().zip(long.iter()).all(|(&a, &b)| a == b)
             && long[short.len()..].iter().all(|&w| w == 0)
     }
 

@@ -7,18 +7,19 @@
 //!   weight exchange) plus the `S_v > S_u` data-centric forwarding rule.
 //!   This is the routing substrate *and* the evaluation baseline of the
 //!   reproduced incentive paper.
-//! * [`baselines`] — Epidemic, Direct Delivery, binary Spray-and-Wait and
-//!   Two-Hop Relay, for calibration and ablation studies.
-//! * [`prophet`] — PRoPHET probabilistic routing (RFC 6693), the standard
-//!   history-based DTN baseline.
+//! * [`backend`] — the [`backend::RouterBackend`] seam: ChitChat plus the
+//!   classic baselines (Epidemic, Direct Delivery, binary Spray-and-Wait,
+//!   Two-Hop Relay, PRoPHET) as pluggable substrates the incentive overlay
+//!   in `dtn-core` composes with. Each classic router exists only here;
+//!   with the overlay off it is the plain baseline.
+//! * [`prophet`] — PRoPHET's parameters and delivery-predictability table
+//!   (RFC 6693), used by the PRoPHET backend.
 //! * [`cedo`] — CEDO, the request-driven content-centric dissemination
-//!   scheme the thesis contrasts ChitChat with (§1.2).
-//! * [`backend`] — the [`backend::RouterBackend`] seam: every router above
-//!   as a pluggable substrate the incentive overlay in `dtn-core` composes
-//!   with.
+//!   scheme the thesis contrasts ChitChat with (§1.2); the one standalone
+//!   router without a backend.
 //! * [`interests`] — the RTSR interest-table model shared with `dtn-core`.
-//! * [`directory`] — static interest registry used by the node-centric
-//!   baselines' delivery criterion.
+//! * [`directory`] — static interest registry used by the classic
+//!   backends' delivery criterion.
 //!
 //! ## Example
 //!
@@ -35,7 +36,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod backend;
-pub mod baselines;
 pub mod cedo;
 pub mod chitchat;
 pub mod directory;
@@ -49,13 +49,10 @@ pub mod prelude {
         BackendKind, ChitChatBackend, DirectBackend, EpidemicBackend, Overlay, ProphetBackend,
         RouterBackend, SprayBackend, TwoHopBackend,
     };
-    pub use crate::baselines::{
-        DirectDeliveryRouter, EpidemicRouter, SprayAndWaitRouter, TwoHopRelayRouter,
-    };
     pub use crate::cedo::CedoRouter;
     pub use crate::chitchat::ChitChatRouter;
     pub use crate::directory::InterestDirectory;
     pub use crate::exchange::{due_pairs, rtsr_exchange, shared_keywords, KeywordSet};
     pub use crate::interests::{ChitChatParams, InterestEntry, InterestKind, InterestTable};
-    pub use crate::prophet::{ProphetParams, ProphetRouter};
+    pub use crate::prophet::ProphetParams;
 }

@@ -185,8 +185,8 @@ fn apply_strategies<B: RouterBackend>(
 
 /// Builds the same world and workload as [`build_simulation`] but wires in
 /// an arbitrary protocol constructed from the synthesized population —
-/// used to compare third-party routers (Epidemic, PRoPHET, CEDO, …)
-/// against the mechanism on identical workloads.
+/// used to compare standalone routers (CEDO; ChitChat in the consistency
+/// suite) against the mechanism on identical workloads.
 ///
 /// # Panics
 ///

@@ -46,43 +46,8 @@ use dtn_routing::backend::{BackendKind, Overlay};
 use crate::runner::{self, seed_parallelism};
 use crate::scenario::{Arm, Scenario};
 
-/// A third-party router arm for baseline-comparison cells, mirroring the
-/// routers `dtn-routing` ships. Carried by value (not by closure) so a
-/// cell is hashable data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RouterKind {
-    /// Flood every contact (MDR ceiling, traffic worst case).
-    Epidemic,
-    /// Source-only delivery (traffic floor).
-    DirectDelivery,
-    /// Binary spray-and-wait with the given initial copy budget.
-    SprayAndWait(u32),
-    /// Source hands one copy to relays; relays deliver only.
-    TwoHop,
-    /// PRoPHET with default parameters.
-    Prophet,
-    /// CEDO, pull-based: expected pairs become keyword requests at
-    /// creation time.
-    Cedo,
-}
-
-impl RouterKind {
-    /// Stable tag used in cache keys and labels.
-    #[must_use]
-    pub fn tag(&self) -> String {
-        match self {
-            RouterKind::Epidemic => "epidemic".into(),
-            RouterKind::DirectDelivery => "direct".into(),
-            RouterKind::SprayAndWait(copies) => format!("spray{copies}"),
-            RouterKind::TwoHop => "twohop".into(),
-            RouterKind::Prophet => "prophet".into(),
-            RouterKind::Cedo => "cedo".into(),
-        }
-    }
-}
-
 /// What mechanism a cell runs: one of the paper's two arms, a (backend ×
-/// overlay) grid point, or a third-party router on the identical workload.
+/// overlay) grid point, or CEDO on the identical workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellKind {
     /// The mechanism (or the ChitChat baseline) via [`runner::run_once`].
@@ -96,9 +61,9 @@ pub enum CellKind {
         /// Whether the mechanism wraps it.
         overlay: Overlay,
     },
-    /// A third-party router via [`runner::build_with_protocol`] (legacy
-    /// standalone baselines: no behavior models, drop-oldest buffers).
-    Router(RouterKind),
+    /// CEDO via [`runner::build_with_protocol`]: the one router without a
+    /// backend, run standalone (no behavior models, drop-oldest buffers).
+    Cedo,
 }
 
 impl CellKind {
@@ -111,7 +76,8 @@ impl CellKind {
             CellKind::Backend { backend, overlay } => {
                 format!("backend:{}+overlay:{}", backend.tag(), overlay.tag())
             }
-            CellKind::Router(kind) => format!("router:{}", kind.tag()),
+            // The tag every existing CEDO cache entry is keyed under.
+            CellKind::Cedo => "router:cedo".into(),
         }
     }
 }
@@ -158,12 +124,12 @@ impl Cell {
         }
     }
 
-    /// A third-party-router cell.
+    /// A CEDO cell.
     #[must_use]
-    pub fn router(scenario: Scenario, kind: RouterKind, seed: u64) -> Self {
+    pub fn cedo(scenario: Scenario, seed: u64) -> Self {
         Cell {
             scenario,
-            kind: CellKind::Router(kind),
+            kind: CellKind::Cedo,
             seed,
         }
     }
@@ -244,14 +210,14 @@ impl Cell {
 pub struct CellResult {
     /// Kernel-level statistics.
     pub summary: RunSummary,
-    /// Settled first deliveries (0 for router/ChitChat cells).
+    /// Settled first deliveries (0 for overlay-off and CEDO cells).
     pub settlements: u64,
-    /// Tokens paid out in settlements (0.0 for router/ChitChat cells).
+    /// Tokens paid out in settlements (0.0 for overlay-off and CEDO cells).
     pub tokens_awarded: f64,
     /// Nodes that ended the run with zero tokens.
     pub broke_nodes: u64,
     /// Tokens held by strategy-playing nodes at the end of the run (0.0
-    /// for strategy-free and router cells). `serde(default)` so cache
+    /// for strategy-free and CEDO cells). `serde(default)` so cache
     /// entries written before the adversary suite still deserialize.
     #[serde(default)]
     pub attacker_tokens: f64,
@@ -524,78 +490,33 @@ pub fn run_cell_uncached(cell: &Cell) -> CellResult {
                 attacker_tokens: run.attacker_tokens,
             }
         }
-        CellKind::Router(kind) => {
-            let summary = run_router_cell(&cell.scenario, kind, cell.seed);
-            CellResult {
-                summary,
-                settlements: 0,
-                tokens_awarded: 0.0,
-                broke_nodes: 0,
-                attacker_tokens: 0.0,
-            }
-        }
+        CellKind::Cedo => CellResult {
+            summary: run_cedo_cell(&cell.scenario, cell.seed),
+            settlements: 0,
+            tokens_awarded: 0.0,
+            broke_nodes: 0,
+            attacker_tokens: 0.0,
+        },
     }
 }
 
-fn run_router_cell(scenario: &Scenario, kind: RouterKind, seed: u64) -> RunSummary {
-    use dtn_routing::prelude::*;
-    fn finish<P: dtn_sim::protocol::Protocol>(
-        mut sim: dtn_sim::kernel::Simulation<P>,
-        duration_secs: f64,
-    ) -> RunSummary {
-        sim.run_until(SimTime::from_secs(duration_secs))
-    }
-    let duration = scenario.duration_secs;
-    match kind {
-        RouterKind::Epidemic => finish(
-            runner::build_with_protocol(scenario, seed, |pop, _| {
-                EpidemicRouter::new(pop.interest_directory())
-            }),
-            duration,
-        ),
-        RouterKind::DirectDelivery => finish(
-            runner::build_with_protocol(scenario, seed, |pop, _| {
-                DirectDeliveryRouter::new(pop.interest_directory())
-            }),
-            duration,
-        ),
-        RouterKind::SprayAndWait(copies) => finish(
-            runner::build_with_protocol(scenario, seed, |pop, _| {
-                SprayAndWaitRouter::new(pop.interest_directory(), copies)
-            }),
-            duration,
-        ),
-        RouterKind::TwoHop => finish(
-            runner::build_with_protocol(scenario, seed, |pop, _| {
-                TwoHopRelayRouter::new(pop.interest_directory())
-            }),
-            duration,
-        ),
-        RouterKind::Prophet => finish(
-            runner::build_with_protocol(scenario, seed, |pop, _| {
-                ProphetRouter::new(pop.interest_directory(), ProphetParams::default())
-            }),
-            duration,
-        ),
-        RouterKind::Cedo => finish(
-            runner::build_with_protocol(scenario, seed, |pop, schedule| {
-                // CEDO is pull-based: each expected (message, destination)
-                // pair becomes a keyword request issued at creation time.
-                let mut router = CedoRouter::new(pop.interests.len());
-                for m in schedule {
-                    for &dest in &m.expected_destinations {
-                        for &kw in &m.source_tags {
-                            if pop.interests[dest.index()].contains(&kw) {
-                                router.schedule_request(m.at, dest, kw, m.ttl_secs);
-                            }
-                        }
+fn run_cedo_cell(scenario: &Scenario, seed: u64) -> RunSummary {
+    let mut sim = runner::build_with_protocol(scenario, seed, |pop, schedule| {
+        // CEDO is pull-based: each expected (message, destination) pair
+        // becomes a keyword request issued at creation time.
+        let mut router = dtn_routing::cedo::CedoRouter::new(pop.interests.len());
+        for m in schedule {
+            for &dest in &m.expected_destinations {
+                for &kw in &m.source_tags {
+                    if pop.interests[dest.index()].contains(&kw) {
+                        router.schedule_request(m.at, dest, kw, m.ttl_secs);
                     }
                 }
-                router
-            }),
-            duration,
-        ),
-    }
+            }
+        }
+        router
+    });
+    sim.run_until(SimTime::from_secs(scenario.duration_secs))
 }
 
 /// Executes a plan of cells and returns their results **in plan order**.
@@ -723,7 +644,8 @@ mod tests {
         // Literal keys of the reduced paper world, recorded when the
         // kernel still read `threads`: the field is inert now, but it stays
         // in the canonical JSON, so every existing disk-cache entry must
-        // keep its key.
+        // keep its key. The CEDO key was recorded when CEDO was one variant
+        // of a wider standalone-router enum; its `router:cedo` tag is kept.
         let with_threads = |threads| {
             let mut s = paper::reduced_scenario();
             s.threads = threads;
@@ -735,7 +657,7 @@ mod tests {
             Cell::arm(with_threads(Some(1)), Arm::Incentive, 1),
             Cell::arm(with_threads(Some(1)), Arm::ChitChat, 1),
             Cell::backend(with_threads(None), BackendKind::Epidemic, Overlay::On, 2),
-            Cell::router(with_threads(None), RouterKind::Prophet, 3),
+            Cell::cedo(with_threads(None), 3),
         ];
         let keys: Vec<String> = cells
             .iter()
@@ -749,7 +671,7 @@ mod tests {
                 "db9c3073319e6627effc501fc1dedb39",
                 "0da77092d9372b94a0f3aa941cb990a6",
                 "c3bf5f695dc53ed738b7e90394bedced",
-                "3c2c45cbd0f2f502689581587bbc3fdd",
+                "2bae8f0107a31968f498b212ca95704a",
             ]
         );
     }
@@ -770,12 +692,18 @@ mod tests {
             a.cache_key(),
             Cell::arm(tweaked, Arm::Incentive, 7).cache_key()
         );
-        let router = Cell::router(tiny("alpha"), RouterKind::Epidemic, 7);
-        assert_ne!(a.cache_key(), router.cache_key());
-        assert_ne!(
-            Cell::router(tiny("x"), RouterKind::SprayAndWait(4), 7).cache_key(),
-            Cell::router(tiny("x"), RouterKind::SprayAndWait(8), 7).cache_key()
-        );
+        let cedo = Cell::cedo(tiny("alpha"), 7);
+        assert_ne!(a.cache_key(), cedo.cache_key());
+        let spray = |copies| {
+            Cell::backend(
+                tiny("x"),
+                BackendKind::SprayAndWait(copies),
+                Overlay::Off,
+                7,
+            )
+            .cache_key()
+        };
+        assert_ne!(spray(4), spray(8), "the ticket budget is part of the key");
     }
 
     #[test]
@@ -846,7 +774,7 @@ mod tests {
         assert_eq!(off.kind, CellKind::Arm(Arm::ChitChat));
 
         // Non-ChitChat grid points get their own tag space, distinct from
-        // both the arms and the legacy standalone-router cells.
+        // both the arms and the standalone CEDO cells.
         let grid = Cell::backend(tiny("grid"), BackendKind::Epidemic, Overlay::On, 7);
         assert_eq!(
             grid.kind,
@@ -856,10 +784,7 @@ mod tests {
             }
         );
         assert_ne!(grid.cache_key(), on.cache_key());
-        assert_ne!(
-            grid.cache_key(),
-            Cell::router(tiny("grid"), RouterKind::Epidemic, 7).cache_key()
-        );
+        assert_ne!(grid.cache_key(), Cell::cedo(tiny("grid"), 7).cache_key());
         assert_ne!(
             grid.cache_key(),
             Cell::backend(tiny("grid"), BackendKind::Epidemic, Overlay::Off, 7).cache_key()
@@ -1021,14 +946,20 @@ mod tests {
         let s = tiny("routers");
         clear_memo();
         let cells = vec![
-            Cell::router(s.clone(), RouterKind::Epidemic, 2),
-            Cell::router(s.clone(), RouterKind::DirectDelivery, 2),
+            Cell::backend(s.clone(), BackendKind::Epidemic, Overlay::Off, 2),
+            Cell::backend(s.clone(), BackendKind::DirectDelivery, Overlay::Off, 2),
+            Cell::cedo(s.clone(), 2),
         ];
         let results = run_cells(&cells);
         assert!(
             results[0].summary.relays_completed > results[1].summary.relays_completed,
             "epidemic floods more than direct delivery"
         );
-        assert_eq!(results[0].settlements, 0, "routers have no economy");
+        for r in &results {
+            assert_eq!(r.settlements, 0, "plain routers have no economy");
+            let ratio = r.summary.delivery_ratio;
+            assert!((0.0..=1.0).contains(&ratio), "ratio {ratio} out of range");
+        }
+        assert_eq!(results[2], run_cell_uncached(&cells[2]), "CEDO replays");
     }
 }
