@@ -5,8 +5,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use dtn_workloads::paper::reduced_scenario;
-use dtn_workloads::runner::run_once;
+use dtn_workloads::runner::{run, RunOpts};
 use dtn_workloads::scenario::{Arm, Scenario};
+use dtn_workloads::sweep::Cell;
 
 fn small() -> Scenario {
     let mut s = reduced_scenario();
@@ -24,12 +25,15 @@ fn bench_small_runs(c: &mut Criterion) {
     let scenario = small();
     let mut group = c.benchmark_group("end_to_end_30_nodes_15min");
     group.sample_size(10);
-    group.bench_function("incentive_arm", |b| {
-        b.iter(|| run_once(&scenario, Arm::Incentive, 7));
-    });
-    group.bench_function("chitchat_arm", |b| {
-        b.iter(|| run_once(&scenario, Arm::ChitChat, 7));
-    });
+    for (name, arm) in [
+        ("incentive_arm", Arm::Incentive),
+        ("chitchat_arm", Arm::ChitChat),
+    ] {
+        let cell = Cell::arm(scenario.clone(), arm, 7);
+        group.bench_function(name, |b| {
+            b.iter(|| run(&cell, RunOpts::default()));
+        });
+    }
     group.finish();
 }
 

@@ -75,7 +75,7 @@ use std::time::Instant;
 use dtn_sim::faults::FaultPlan;
 use dtn_sim::transfer::RecoveryPolicy;
 use dtn_workloads::paper::{reduced_scenario, seeds_for};
-use dtn_workloads::runner::{run_once_perf, PerfReport};
+use dtn_workloads::runner::{run, PerfReport, RunOpts};
 use dtn_workloads::scenario::{Arm, Scenario};
 use dtn_workloads::sweep::{self, run_cells, Cell};
 use serde::Deserialize;
@@ -362,7 +362,13 @@ fn bench_row(scenario: &Scenario, seeds: &[u64], quick: bool) -> BenchRow {
     let mut retried = 0u64;
     let mut resumed = 0u64;
     for &seed in seeds {
-        let (run, perf) = run_once_perf(&scenario, Arm::Incentive, seed);
+        let cell = Cell::arm(scenario.clone(), Arm::Incentive, seed);
+        let profiled = RunOpts {
+            profile: true,
+            ..RunOpts::default()
+        };
+        let out = run(&cell, profiled);
+        let (run, perf) = (out.run, out.perf.expect("profiling was enabled"));
         relays += run.summary.relays_completed;
         retried += run.summary.transfers_retried;
         resumed += run.summary.transfers_resumed;

@@ -163,7 +163,8 @@ pub mod fig5_2 {
     use super::*;
     use crate::{print_scenario_header, write_csv};
     use dtn_workloads::paper::selfish_sweep;
-    use dtn_workloads::runner::compare_arms;
+    use dtn_workloads::prelude::BackendKind;
+    use dtn_workloads::runner::compare;
     use dtn_workloads::scenario::Arm;
 
     fn sweep(cli: &Cli) -> Vec<Scenario> {
@@ -197,7 +198,7 @@ pub mod fig5_2 {
         let mut rows = Vec::new();
         for scenario in &sweep {
             let pct = (scenario.selfish_fraction * 100.0).round();
-            let cmp = compare_arms(scenario, &cli.seeds);
+            let cmp = compare(scenario, BackendKind::ChitChat, &cli.seeds);
             println!(
                 "{:>9} | {:>15} | {:>15} | {:>+11.1}",
                 pct,
@@ -380,7 +381,8 @@ pub mod fig5_5 {
     use super::*;
     use crate::{print_scenario_header, write_csv};
     use dtn_workloads::paper::user_count_sweep;
-    use dtn_workloads::runner::compare_arms;
+    use dtn_workloads::prelude::BackendKind;
+    use dtn_workloads::runner::compare;
     use dtn_workloads::scenario::Arm;
 
     fn sweep(cli: &Cli) -> Vec<Scenario> {
@@ -412,7 +414,7 @@ pub mod fig5_5 {
         println!("{}", "-".repeat(53));
         let mut rows = Vec::new();
         for scenario in &sweep {
-            let cmp = compare_arms(scenario, &cli.seeds);
+            let cmp = compare(scenario, BackendKind::ChitChat, &cli.seeds);
             println!(
                 "{:>7} | {:>13.3} | {:>13.3} | {:>+9.3}",
                 scenario.nodes,
@@ -434,7 +436,8 @@ pub mod fig5_6 {
     use super::*;
     use crate::{print_scenario_header, write_csv};
     use dtn_workloads::paper::priority_sweep;
-    use dtn_workloads::runner::compare_arms;
+    use dtn_workloads::prelude::BackendKind;
+    use dtn_workloads::runner::compare;
     use dtn_workloads::scenario::Arm;
 
     fn sweep(cli: &Cli) -> Vec<Scenario> {
@@ -467,7 +470,7 @@ pub mod fig5_6 {
         let mut rows = Vec::new();
         for scenario in &sweep {
             let pct = (scenario.selfish_fraction * 100.0).round();
-            let cmp = compare_arms(scenario, &cli.seeds);
+            let cmp = compare(scenario, BackendKind::ChitChat, &cli.seeds);
             for (label, summary) in [("Incentive", &cmp.incentive), ("ChitChat", &cmp.chitchat)] {
                 let by = &summary.delivery_ratio_by_priority;
                 let get = |level: u8| by.get(&level).copied().unwrap_or(0.0);

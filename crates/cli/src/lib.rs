@@ -24,7 +24,7 @@ use dtn_workloads::paper::{reduced_scenario, seeds_for, QUICK_SEEDS};
 use dtn_workloads::prelude::{
     read_snapshot, run_with_snapshots, BackendKind, RunMeta, RunProgress, SnapshotPolicy,
 };
-use dtn_workloads::runner::{compare_arms, compare_overlays};
+use dtn_workloads::runner::{compare, compare_perf};
 use dtn_workloads::scenario::{Arm, Scenario};
 
 /// A parsed command.
@@ -453,7 +453,8 @@ ROUTERS:
     overlay: the comparison becomes overlay-on vs overlay-off over that
     router on the identical workload. chitchat (the default) is the paper's
     Incentive-vs-ChitChat arms. The flag overrides the scenario's optional
-    `backend` field. Profiling flags apply to the chitchat path only.
+    `backend` field. run executes the paper's arms only, so it refuses a
+    scenario whose `backend` is not chitchat; compare --router runs it.
 "
 }
 
@@ -580,6 +581,15 @@ pub fn execute_with_interrupt(
             resume_from,
         } => {
             let mut scenario = load_scenario(&path)?;
+            let backend = scenario.effective_backend();
+            if backend != BackendKind::ChitChat {
+                return Err(format!(
+                    "{path} asks for the {} backend, but run executes the paper's \
+                     chitchat arms only; use `dtn compare {path} --router {}`",
+                    backend.label(),
+                    backend.tag()
+                ));
+            }
             if kernel_mode.is_some() {
                 scenario.kernel_mode = kernel_mode;
             }
@@ -789,60 +799,33 @@ pub fn execute_with_interrupt(
                 )));
             }
             // The flag overrides the scenario's own `backend` field;
-            // chitchat is the paper's arms and takes the classic path.
+            // chitchat is the paper's arms.
             let backend = router.unwrap_or_else(|| scenario.effective_backend());
             let seed_values = seeds_for(seeds);
-            if backend != BackendKind::ChitChat {
-                if metrics_out.is_some() || verbose {
-                    return Err(format!(
-                        "--metrics-out/--verbose profiling covers the chitchat (arm) path \
-                         only; rerun without them or without --router {}",
-                        backend.tag()
-                    ));
-                }
-                let cmp = compare_overlays(&scenario, backend, &seed_values);
-                let mut text = format_summary(
-                    &format!(
-                        "{} · Incentive over {} (mean of {seeds} seeds)",
-                        scenario.name,
-                        backend.label()
-                    ),
-                    &cmp.incentive,
-                );
-                text.push('\n');
-                text.push_str(&format_summary(
-                    &format!(
-                        "{} · Plain {} (mean of {seeds} seeds)",
-                        scenario.name,
-                        backend.label()
-                    ),
-                    &cmp.chitchat,
-                ));
-                let _ = writeln!(
-                    text,
-                    "\npaired: MDR gap {:+.4}, traffic reduction {:+.1}%",
-                    cmp.mdr_gap(),
-                    cmp.traffic_reduction_pct()
-                );
-                return Ok(done(text));
-            }
-            let profile = metrics_out.is_some() || verbose;
-            let (cmp, perf) = if profile {
-                let (cmp, perf) = dtn_workloads::runner::compare_arms_perf(&scenario, &seed_values);
+            let (cmp, perf) = if metrics_out.is_some() || verbose {
+                let (cmp, perf) = compare_perf(&scenario, backend, &seed_values);
                 (cmp, Some(perf))
             } else {
-                (compare_arms(&scenario, &seed_values), None)
+                (compare(&scenario, backend, &seed_values), None)
             };
             if let (Some(out_path), Some(report)) = (&metrics_out, &perf) {
                 write_metrics(out_path, report)?;
             }
+            let (on, off) = if backend == BackendKind::ChitChat {
+                ("Incentive".to_owned(), "ChitChat".to_owned())
+            } else {
+                (
+                    format!("Incentive over {}", backend.label()),
+                    format!("Plain {}", backend.label()),
+                )
+            };
             let mut text = format_summary(
-                &format!("{} · Incentive (mean of {seeds} seeds)", scenario.name),
+                &format!("{} · {on} (mean of {seeds} seeds)", scenario.name),
                 &cmp.incentive,
             );
             text.push('\n');
             text.push_str(&format_summary(
-                &format!("{} · ChitChat (mean of {seeds} seeds)", scenario.name),
+                &format!("{} · {off} (mean of {seeds} seeds)", scenario.name),
                 &cmp.chitchat,
             ));
             let _ = writeln!(
@@ -871,7 +854,7 @@ extern "C" fn sigint_handler(_signum: i32) {
     SIGINT_FLAG.store(true, std::sync::atomic::Ordering::Relaxed);
 }
 
-/// Installs a SIGINT handler that latches [`struct@SIGINT_FLAG`] instead of
+/// Installs a SIGINT handler that latches `SIGINT_FLAG` instead of
 /// killing the process, so `dtn run` can flush its `--metrics-out` report
 /// and a final snapshot before exiting with status 130. Returns the flag;
 /// on non-Unix platforms this installs nothing and the flag stays false.
@@ -1337,8 +1320,8 @@ mod tests {
             "labels name the substrate: {text}"
         );
         assert!(text.contains("MDR gap"));
-        // Profiling only covers the arm path; the refusal is explicit.
-        let err = execute(Command::Compare {
+        // Profiling covers every router, not just the paper arms.
+        let verbose = execute(Command::Compare {
             path: path.to_str().expect("utf8").to_owned(),
             seeds: 1,
             metrics_out: None,
@@ -1347,8 +1330,30 @@ mod tests {
             sweep_cache: false,
             router: Some(BackendKind::Epidemic),
         })
-        .expect_err("profiling with a non-chitchat router is refused");
-        assert!(err.contains("chitchat"), "error explains the limit: {err}");
+        .expect("profiled router comparison runs");
+        assert!(
+            verbose.contains("Incentive over Epidemic") && verbose.contains("phase"),
+            "verbose output has the phase table: {verbose}"
+        );
+    }
+
+    #[test]
+    fn run_refuses_a_scenario_on_another_backend() {
+        let mut s = reduced_scenario();
+        s.nodes = 10;
+        s.area_km2 = 0.1;
+        s.duration_secs = 400.0;
+        s.backend = Some(BackendKind::Prophet);
+        let dir = scratch_dir("run-backend");
+        let path = dir.join("prophet.json");
+        std::fs::write(&path, serde_json::to_string(&s).expect("json")).expect("write");
+        let path = path.to_str().expect("utf8").to_owned();
+        let err = execute(run_command(&path, &dir, "prophet", 1, None, None, None))
+            .expect_err("run does not silently run chitchat");
+        assert!(
+            err.contains("PRoPHET") && err.contains("--router prophet"),
+            "error names the backend and the way out: {err}"
+        );
     }
 
     /// A tiny chaos+strategies scenario on disk, for the resume tests.

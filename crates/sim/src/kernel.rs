@@ -259,7 +259,7 @@ impl RetryScheduler {
     }
 }
 
-/// Snapshot of a [`RetryScheduler`]'s dynamic state: the retry queue in
+/// Snapshot of a `RetryScheduler`'s dynamic state: the retry queue in
 /// insertion order, the budget counters as key-sorted vectors, and the
 /// position of the retry RNG stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -11,8 +11,9 @@ fn main() {
         s.duration_secs = 12.0 * 3600.0;
         s.selfish_fraction = f64::from(pct) / 100.0;
         let s = s.named(format!("half-table51-selfish-{pct}"));
-        let inc = run_once(&s, Arm::Incentive, 101);
-        let cc = run_once(&s, Arm::ChitChat, 101);
+        let arm_run = |arm| run(&Cell::arm(s.clone(), arm, 101), RunOpts::default()).run;
+        let inc = arm_run(Arm::Incentive);
+        let cc = arm_run(Arm::ChitChat);
         let red = 100.0
             * (cc.summary.relays_completed as f64 - inc.summary.relays_completed as f64)
             / cc.summary.relays_completed.max(1) as f64;

@@ -9,8 +9,9 @@
 //!   population synthesis, source quality classes;
 //! * [`traffic`] — the message-creation schedule with ground-truth
 //!   content and expected destination sets;
-//! * [`runner`] — builds simulations, runs seeds, pairs the Incentive and
-//!   ChitChat arms over identical workloads;
+//! * [`runner`] — one world builder and one entry point, [`runner::run`],
+//!   for every cell (paper arm, backend × overlay, CEDO); runs seeds and
+//!   pairs overlay on/off (Incentive vs ChitChat) over identical workloads;
 //! * [`resume`] — crash-resumable runs: periodic whole-world snapshots
 //!   with run identity attached, and byte-identical resume;
 //! * [`sweep`] — the work-stealing sweep executor with a memoized run
@@ -26,7 +27,7 @@
 //! // A quick reduced-scale Fig. 5.1 point: 30% selfish nodes, both arms.
 //! let mut scenario = reduced_scenario();
 //! scenario.selfish_fraction = 0.3;
-//! let cmp = compare_arms(&scenario, &[101]);
+//! let cmp = compare(&scenario, BackendKind::ChitChat, &[101]);
 //! println!(
 //!     "MDR incentive {:.3} vs chitchat {:.3}, traffic saved {:.1}%",
 //!     cmp.incentive.delivery_ratio,
@@ -60,9 +61,8 @@ pub mod prelude {
         write_snapshot, RunMeta, RunProgress, SnapshotDoc, SnapshotPolicy,
     };
     pub use crate::runner::{
-        arm_for, build_backend_simulation, build_simulation, compare_arms, compare_overlays,
-        protocol_for, run_backend, run_backend_checked, run_once, run_seeds, ArmRun, BackendRouter,
-        Comparison,
+        arm_for, build_simulation_opts, compare, compare_perf, protocol_for, run, run_seeds,
+        ArmRun, Comparison, PerfReport, RunOpts, RunOutput,
     };
     pub use crate::scenario::{Arm, Mobility, Scenario, SourceClassMix};
     pub use crate::sweep::{run_cells, Cell, CellKind, CellResult};

@@ -25,7 +25,7 @@ use dtn_sim::snapshot::{self, SnapshotError};
 use dtn_sim::stats::RunSummary;
 use dtn_sim::time::SimTime;
 
-use crate::runner::build_simulation_checked;
+use crate::runner::build_simulation_opts;
 use crate::scenario::{Arm, Scenario};
 
 /// The identity of the run a snapshot belongs to: everything needed to
@@ -145,12 +145,13 @@ pub fn resume_simulation(doc: &SnapshotDoc) -> Result<Simulation<DcimRouter>, Sn
         .meta
         .trace_capacity
         .map(dtn_sim::trace::TraceLog::bounded);
-    let mut sim = build_simulation_checked(
+    let mut sim = build_simulation_opts(
         &doc.meta.scenario,
         doc.meta.arm,
         doc.meta.seed,
         trace,
         doc.meta.check_every,
+        false,
     );
     sim.restore(&doc.world)?;
     Ok(sim)
@@ -255,7 +256,7 @@ mod tests {
 
     fn fresh_sim(m: &RunMeta) -> Simulation<DcimRouter> {
         let trace = m.trace_capacity.map(dtn_sim::trace::TraceLog::bounded);
-        build_simulation_checked(&m.scenario, m.arm, m.seed, trace, m.check_every)
+        build_simulation_opts(&m.scenario, m.arm, m.seed, trace, m.check_every, false)
     }
 
     #[test]

@@ -1,20 +1,29 @@
 //! Building and running scenarios, one or many seeds at a time.
+//!
+//! One world builder serves every mechanism, and one entry point runs
+//! every cell: [`run`] takes the run's identity (a [`Cell`]: scenario,
+//! mechanism, seed) and its instrumentation ([`RunOpts`]) separately.
 
 use dtn_core::behavior::NodeBehavior;
 use dtn_core::params::ProtocolParams;
 use dtn_core::protocol::{DcimRouter, ProtocolStats};
 use dtn_routing::backend::{BackendKind, Overlay, RouterBackend};
+use dtn_routing::cedo::CedoRouter;
+use dtn_sim::buffer::DropPolicy;
 use dtn_sim::geometry::Area;
-use dtn_sim::kernel::{Simulation, SimulationBuilder};
+use dtn_sim::kernel::{ScheduledMessage, Simulation, SimulationBuilder};
 use dtn_sim::metrics::{MetricsRegistry, PhaseTiming};
+use dtn_sim::protocol::Protocol;
 use dtn_sim::rng::SimRng;
 use dtn_sim::stats::RunSummary;
 use dtn_sim::time::SimTime;
+use dtn_sim::trace::TraceLog;
 use dtn_sim::world::NodeId;
 use serde::{Deserialize, Serialize};
 
 use crate::population::Population;
 use crate::scenario::{Arm, Scenario};
+use crate::sweep::{Cell, CellKind};
 use crate::traffic::generate_schedule;
 
 /// The protocol configuration for one arm of a scenario.
@@ -39,105 +48,130 @@ pub fn protocol_for(scenario: &Scenario, arm: Arm) -> ProtocolParams {
     }
 }
 
-/// Builds a ready-to-run simulation for `scenario` under `arm` and `seed`.
+/// Instrumentation for one run: what to observe, never what to simulate.
 ///
-/// Both arms of the same `(scenario, seed)` see the *identical* workload:
-/// same mobility, same population (interests, behaviors, classes, roles)
-/// and same message schedule — only the mechanism differs. That is what
-/// makes the paper's pairwise comparisons (Figs. 5.1–5.6) meaningful.
-///
-/// # Panics
-///
-/// Panics if the scenario fails validation.
-#[must_use]
-pub fn build_simulation(scenario: &Scenario, arm: Arm, seed: u64) -> Simulation<DcimRouter> {
-    build_simulation_traced(scenario, arm, seed, None)
+/// None of these knobs is part of a run's identity (the [`Cell`] is): they
+/// are never hashed into a cache key and never change an outcome — a
+/// traced, audited or profiled run returns the same [`ArmRun`] as a plain
+/// one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunOpts {
+    /// Record up to this many kernel events and return their rendered
+    /// text (the CLI's `--trace` flag).
+    pub trace_capacity: Option<usize>,
+    /// Audit the kernel's conservation invariants and the router's (token
+    /// conservation, rating bounds, offer hygiene) every that-many steps;
+    /// a breach panics with a replayable report. Falls back to the
+    /// scenario's `audit_every`.
+    pub check_every: Option<u64>,
+    /// Time every kernel phase and return a [`PerfReport`].
+    pub profile: bool,
 }
 
-/// [`build_simulation`] with an optional kernel event trace attached (see
-/// [`dtn_sim::trace::TraceLog`]); used by the CLI's `--trace` flag and by
-/// sequence-asserting tests.
-///
-/// # Panics
-///
-/// Panics if the scenario fails validation.
-#[must_use]
-pub fn build_simulation_traced(
-    scenario: &Scenario,
-    arm: Arm,
-    seed: u64,
-    trace: Option<dtn_sim::trace::TraceLog>,
-) -> Simulation<DcimRouter> {
-    build_simulation_checked(scenario, arm, seed, trace, None)
+/// What [`run`] returns: the results plus whatever [`RunOpts`] asked to
+/// observe.
+#[derive(Debug, Clone)]
+pub struct RunOutput {
+    /// The run's results.
+    pub run: ArmRun,
+    /// The rendered event trace, when `trace_capacity` was set.
+    pub trace: Option<String>,
+    /// The wall-clock report, when `profile` was set.
+    pub perf: Option<PerfReport>,
 }
 
-/// [`build_simulation_traced`] with an optional invariant-audit cadence:
-/// when `check_every` is set, the kernel audits its own conservation
-/// invariants and the router's (token conservation, rating bounds, offer
-/// hygiene) every that-many steps, aborting with a replayable report on a
-/// breach. The scenario's `chaos` plan, if any, is always wired in.
+/// Runs one cell — a scenario under one mechanism and one seed — to
+/// completion.
+///
+/// Every [`CellKind`] runs on the *identical* world for a given
+/// `(scenario, seed)`: same mobility, population (interests, behaviors,
+/// classes, roles), message schedule, chaos plan and recovery policy; only
+/// the mechanism differs. That is what makes the paper's pairwise
+/// comparisons (Figs. 5.1–5.6) meaningful, and what extends them to every
+/// routing backend. A CEDO cell has no economy, so it reports
+/// `ProtocolStats::default()`, no broke nodes and no attacker tokens.
 ///
 /// # Panics
 ///
-/// Panics if the scenario fails validation.
+/// Panics if the scenario fails validation or an invariant audit fails.
 #[must_use]
-pub fn build_simulation_checked(
-    scenario: &Scenario,
-    arm: Arm,
-    seed: u64,
-    trace: Option<dtn_sim::trace::TraceLog>,
-    check_every: Option<u64>,
-) -> Simulation<DcimRouter> {
-    build_simulation_opts(scenario, arm, seed, trace, check_every, false)
+pub fn run(cell: &Cell, opts: RunOpts) -> RunOutput {
+    let (s, seed) = (&cell.scenario, cell.seed);
+    let trace = opts.trace_capacity.map(TraceLog::bounded);
+    let (audit, profile) = (opts.check_every, opts.profile);
+    match cell.kind {
+        CellKind::Arm(arm) => {
+            let sim = build_simulation_opts(s, arm, seed, trace, audit, profile);
+            observe(sim, s, opts, tally)
+        }
+        CellKind::Backend { backend, overlay } => {
+            let sim = build_backend_simulation(s, backend, overlay, seed, trace, audit, profile);
+            observe(sim, s, opts, tally)
+        }
+        CellKind::Cedo => {
+            let sim = world(s, seed, DropPolicy::DropOldest, trace, audit, profile, cedo);
+            observe(sim, s, opts, |_, summary| ArmRun {
+                summary,
+                protocol: ProtocolStats::default(),
+                broke_nodes: 0,
+                attacker_tokens: 0.0,
+            })
+        }
+    }
 }
 
-/// [`build_simulation_checked`] plus the wall-clock phase profiler
-/// (`profile = true` enables per-phase timing and peak-buffer tracking;
-/// results are unaffected either way).
-///
-/// # Panics
-///
-/// Panics if the scenario fails validation.
-#[must_use]
-pub fn build_simulation_opts(
+/// Steps a built simulation to the scenario's horizon and collects what
+/// `opts` asked to observe.
+fn observe<P: Protocol>(
+    mut sim: Simulation<P>,
     scenario: &Scenario,
-    arm: Arm,
+    opts: RunOpts,
+    results: impl FnOnce(P, RunSummary) -> ArmRun,
+) -> RunOutput {
+    let t0 = std::time::Instant::now();
+    let _ = sim.run_until(SimTime::from_secs(scenario.duration_secs));
+    let perf = opts
+        .profile
+        .then(|| PerfReport::capture(&sim, t0.elapsed().as_secs_f64()));
+    let trace = opts.trace_capacity.map(|_| sim.api().trace().render());
+    let (protocol, summary) = sim.finish();
+    RunOutput {
+        run: results(protocol, summary),
+        trace,
+        perf,
+    }
+}
+
+/// The mechanism's end-of-run results.
+fn tally<B: RouterBackend>(router: DcimRouter<B>, summary: RunSummary) -> ArmRun {
+    ArmRun {
+        summary,
+        broke_nodes: router.ledger().broke_nodes().len(),
+        attacker_tokens: router.attacker_tokens(),
+        protocol: router.stats(),
+    }
+}
+
+/// The one world builder: validates the scenario, synthesizes the
+/// population and message schedule from `SimRng::new(seed)`, hands both to
+/// `make` for the protocol, and configures the kernel (radio, buffers,
+/// mobility, battery, trace, chaos, recovery, audit cadence, profiler).
+/// Every build path goes through here, so every mechanism sees the same
+/// world for a given `(scenario, seed)`.
+fn world<P: Protocol>(
+    scenario: &Scenario,
     seed: u64,
-    trace: Option<dtn_sim::trace::TraceLog>,
+    drop_policy: DropPolicy,
+    trace: Option<TraceLog>,
     check_every: Option<u64>,
     profile: bool,
-) -> Simulation<DcimRouter> {
+    make: impl FnOnce(&Population, &[ScheduledMessage]) -> P,
+) -> Simulation<P> {
     scenario.validate().expect("scenario must validate");
-    let check_every = check_every.or(scenario.audit_every);
     let workload_rng = SimRng::new(seed);
     let population = Population::synthesize(scenario, &workload_rng);
     let schedule = generate_schedule(scenario, &population, &workload_rng);
-
-    let mut router = DcimRouter::new(scenario.nodes, protocol_for(scenario, arm), seed);
-    for i in 0..population.interests.len() {
-        let node = NodeId(i as u32);
-        router.subscribe(node, population.sorted_interests(node));
-    }
-    for (i, &behavior) in population.behaviors.iter().enumerate() {
-        if behavior != NodeBehavior::Honest {
-            router.set_behavior(NodeId(i as u32), behavior);
-        }
-    }
-    for (i, &role) in population.roles.iter().enumerate() {
-        router.set_role(NodeId(i as u32), role);
-    }
-    apply_strategies(&mut router, scenario, &population);
-
-    // The mechanism evicts lowest-priority copies first under buffer
-    // pressure; without it (plain ChitChat, or an ablation with the credit
-    // system off) ONE's drop-oldest default applies. Derived from the
-    // effective params rather than the arm label so ablations behave
-    // consistently.
-    let drop_policy = if protocol_for(scenario, arm).incentive_enabled {
-        dtn_sim::buffer::DropPolicy::DropLowestPriority
-    } else {
-        dtn_sim::buffer::DropPolicy::DropOldest
-    };
+    let protocol = make(&population, &schedule);
     let mut builder = SimulationBuilder::new(Area::square_km(scenario.area_km2), seed)
         .radio(scenario.radio)
         .buffer_capacity(scenario.buffer_bytes)
@@ -156,114 +190,21 @@ pub fn build_simulation_opts(
     if let Some(policy) = scenario.recovery {
         builder = builder.recovery(policy);
     }
-    if let Some(every) = check_every {
+    if let Some(every) = check_every.or(scenario.audit_every) {
         builder = builder.check_invariants_every(every);
     }
-    builder.profile(profile).messages(schedule).build(router)
+    builder.profile(profile).messages(schedule).build(protocol)
 }
 
-/// Wires the population's strategy assignment (and the mix's defense flag)
-/// into a router. A scenario without strategies touches nothing, so the
-/// router stays on the byte-identical paper-default path.
-fn apply_strategies<B: RouterBackend>(
-    router: &mut DcimRouter<B>,
+/// Wires the population into the mechanism: subscriptions, behaviors,
+/// roles, and the strategy assignment with the mix's defense flag. A
+/// scenario without strategies touches no strategy state, so the router
+/// stays on the byte-identical paper-default path.
+fn mechanism<B: RouterBackend>(
+    mut router: DcimRouter<B>,
     scenario: &Scenario,
     population: &Population,
-) {
-    let Some(mix) = &scenario.strategies else {
-        return;
-    };
-    for (i, &strategy) in population.strategies.iter().enumerate() {
-        if strategy.is_some() {
-            router.set_strategy(NodeId(i as u32), strategy);
-        }
-    }
-    if mix.defense {
-        router.set_strategy_defense(true);
-    }
-}
-
-/// Builds the same world and workload as [`build_simulation`] but wires in
-/// an arbitrary protocol constructed from the synthesized population —
-/// used to compare standalone routers (CEDO; ChitChat in the consistency
-/// suite) against the mechanism on identical workloads.
-///
-/// # Panics
-///
-/// Panics if the scenario fails validation.
-#[must_use]
-pub fn build_with_protocol<P, F>(scenario: &Scenario, seed: u64, make: F) -> Simulation<P>
-where
-    P: dtn_sim::protocol::Protocol,
-    F: FnOnce(&Population, &[dtn_sim::kernel::ScheduledMessage]) -> P,
-{
-    scenario.validate().expect("scenario must validate");
-    let workload_rng = SimRng::new(seed);
-    let population = Population::synthesize(scenario, &workload_rng);
-    let schedule = generate_schedule(scenario, &population, &workload_rng);
-    let protocol = make(&population, &schedule);
-    let mut builder = SimulationBuilder::new(Area::square_km(scenario.area_km2), seed)
-        .radio(scenario.radio)
-        .buffer_capacity(scenario.buffer_bytes)
-        // Third-party routers are priority-blind, so they get ONE's
-        // drop-oldest default *explicitly*: comparisons against the
-        // mechanism must not silently inherit whatever default the kernel
-        // builder happens to carry.
-        .drop_policy(dtn_sim::buffer::DropPolicy::DropOldest)
-        .kernel_mode(scenario.effective_kernel_mode())
-        .nodes(scenario.nodes, || scenario.mobility.instantiate());
-    if let Some(j) = scenario.battery_joules {
-        builder = builder.battery_joules(j);
-    }
-    if let Some(plan) = scenario.chaos {
-        builder = builder.faults(plan);
-    }
-    if let Some(policy) = scenario.recovery {
-        builder = builder.recovery(policy);
-    }
-    builder.messages(schedule).build(protocol)
-}
-
-/// The incentive overlay over a dynamically chosen routing backend.
-pub type BackendRouter = DcimRouter<Box<dyn RouterBackend>>;
-
-/// The [`Arm`] a given overlay state corresponds to: the overlay axis *is*
-/// the paper's arm split, generalized beyond ChitChat.
-#[must_use]
-pub fn arm_for(overlay: Overlay) -> Arm {
-    match overlay {
-        Overlay::On => Arm::Incentive,
-        Overlay::Off => Arm::ChitChat,
-    }
-}
-
-/// Builds the incentive overlay over an arbitrary routing backend on the
-/// *identical* world and workload as [`build_simulation_checked`]: same
-/// mobility, population (interests, behaviors, classes, roles), message
-/// schedule, chaos plan, recovery policy and drop-policy rule. With
-/// `BackendKind::ChitChat` this reproduces the corresponding `Arm` build
-/// byte-for-byte — that equivalence is pinned by the conformance suite.
-///
-/// # Panics
-///
-/// Panics if the scenario fails validation.
-#[must_use]
-pub fn build_backend_simulation(
-    scenario: &Scenario,
-    kind: BackendKind,
-    overlay: Overlay,
-    seed: u64,
-    check_every: Option<u64>,
-) -> Simulation<BackendRouter> {
-    scenario.validate().expect("scenario must validate");
-    let check_every = check_every.or(scenario.audit_every);
-    let workload_rng = SimRng::new(seed);
-    let population = Population::synthesize(scenario, &workload_rng);
-    let schedule = generate_schedule(scenario, &population, &workload_rng);
-
-    let params = protocol_for(scenario, arm_for(overlay));
-    let backend = kind.instantiate(scenario.nodes, &params.chitchat);
-    let mut router = DcimRouter::with_backend(backend, params, seed);
+) -> DcimRouter<B> {
     for i in 0..population.interests.len() {
         let node = NodeId(i as u32);
         router.subscribe(node, population.sorted_interests(node));
@@ -276,64 +217,151 @@ pub fn build_backend_simulation(
     for (i, &role) in population.roles.iter().enumerate() {
         router.set_role(NodeId(i as u32), role);
     }
-    apply_strategies(&mut router, scenario, &population);
+    if let Some(mix) = &scenario.strategies {
+        for (i, &strategy) in population.strategies.iter().enumerate() {
+            if strategy.is_some() {
+                router.set_strategy(NodeId(i as u32), strategy);
+            }
+        }
+        if mix.defense {
+            router.set_strategy_defense(true);
+        }
+    }
+    router
+}
 
-    let drop_policy = if params.incentive_enabled {
-        dtn_sim::buffer::DropPolicy::DropLowestPriority
+/// The mechanism evicts lowest-priority copies first under buffer
+/// pressure; without it (plain ChitChat, or an ablation with the credit
+/// system off) ONE's drop-oldest default applies. Derived from the
+/// effective params rather than the arm label so ablations behave
+/// consistently.
+fn drop_policy_for(params: &ProtocolParams) -> DropPolicy {
+    if params.incentive_enabled {
+        DropPolicy::DropLowestPriority
     } else {
-        dtn_sim::buffer::DropPolicy::DropOldest
-    };
-    let mut builder = SimulationBuilder::new(Area::square_km(scenario.area_km2), seed)
-        .radio(scenario.radio)
-        .buffer_capacity(scenario.buffer_bytes)
-        .drop_policy(drop_policy)
-        .kernel_mode(scenario.effective_kernel_mode())
-        .nodes(scenario.nodes, || scenario.mobility.instantiate());
-    if let Some(j) = scenario.battery_joules {
-        builder = builder.battery_joules(j);
+        DropPolicy::DropOldest
     }
-    if let Some(plan) = scenario.chaos {
-        builder = builder.faults(plan);
-    }
-    if let Some(policy) = scenario.recovery {
-        builder = builder.recovery(policy);
-    }
-    if let Some(every) = check_every {
-        builder = builder.check_invariants_every(every);
-    }
-    builder.messages(schedule).build(router)
 }
 
-/// Runs one `(scenario, backend, overlay, seed)` cell to completion.
+/// Builds a ready-to-run simulation for `scenario` under `arm` and `seed`,
+/// with an optional kernel event trace, invariant-audit cadence and phase
+/// profiler (see [`RunOpts`]; none of them changes the outcome). Used
+/// directly where a caller steps, snapshots or inspects the simulation
+/// itself; [`run`] covers run-to-completion.
+///
+/// # Panics
+///
+/// Panics if the scenario fails validation.
 #[must_use]
-pub fn run_backend(scenario: &Scenario, kind: BackendKind, overlay: Overlay, seed: u64) -> ArmRun {
-    run_backend_checked(scenario, kind, overlay, seed, None)
+pub fn build_simulation_opts(
+    scenario: &Scenario,
+    arm: Arm,
+    seed: u64,
+    trace: Option<TraceLog>,
+    check_every: Option<u64>,
+    profile: bool,
+) -> Simulation<DcimRouter> {
+    let params = protocol_for(scenario, arm);
+    let drop_policy = drop_policy_for(&params);
+    world(
+        scenario,
+        seed,
+        drop_policy,
+        trace,
+        check_every,
+        profile,
+        |pop, _| mechanism(DcimRouter::new(scenario.nodes, params, seed), scenario, pop),
+    )
 }
 
-/// [`run_backend`] with an optional invariant-audit cadence: the same
-/// token-conservation, rating-bound and no-double-pay audits the paper
-/// arms run under apply to every backend × overlay combination.
-#[must_use]
-pub fn run_backend_checked(
+/// The incentive overlay over an arbitrary routing backend, on the same
+/// world as [`build_simulation_opts`]. With `BackendKind::ChitChat` this
+/// reproduces the corresponding `Arm` build byte-for-byte — that
+/// equivalence is pinned by the conformance suite.
+fn build_backend_simulation(
     scenario: &Scenario,
     kind: BackendKind,
     overlay: Overlay,
     seed: u64,
+    trace: Option<TraceLog>,
     check_every: Option<u64>,
-) -> ArmRun {
-    let mut sim = build_backend_simulation(scenario, kind, overlay, seed, check_every);
-    let _ = sim.run_until(SimTime::from_secs(scenario.duration_secs));
-    let (router, summary) = sim.finish();
-    ArmRun {
-        summary,
-        broke_nodes: router.ledger().broke_nodes().len(),
-        attacker_tokens: router.attacker_tokens(),
-        protocol: router.stats(),
+    profile: bool,
+) -> Simulation<DcimRouter<Box<dyn RouterBackend>>> {
+    let params = protocol_for(scenario, arm_for(overlay));
+    let drop_policy = drop_policy_for(&params);
+    world(
+        scenario,
+        seed,
+        drop_policy,
+        trace,
+        check_every,
+        profile,
+        |pop, _| {
+            let backend = kind.instantiate(scenario.nodes, &params.chitchat);
+            mechanism(
+                DcimRouter::with_backend(backend, params, seed),
+                scenario,
+                pop,
+            )
+        },
+    )
+}
+
+/// Builds the same world as [`build_simulation_opts`] but wires in an
+/// arbitrary protocol constructed from the synthesized population — for
+/// comparing a standalone router against the mechanism on an identical
+/// workload. Third-party routers are priority-blind, so they get ONE's
+/// drop-oldest default *explicitly*: comparisons must not silently inherit
+/// whatever default the kernel builder happens to carry.
+///
+/// # Panics
+///
+/// Panics if the scenario fails validation.
+#[must_use]
+pub fn build_with_protocol<P: Protocol>(
+    scenario: &Scenario,
+    seed: u64,
+    make: impl FnOnce(&Population, &[ScheduledMessage]) -> P,
+) -> Simulation<P> {
+    world(
+        scenario,
+        seed,
+        DropPolicy::DropOldest,
+        None,
+        None,
+        false,
+        make,
+    )
+}
+
+/// CEDO on the workload: CEDO is pull-based, so each expected (message,
+/// destination) pair becomes a keyword request issued at creation time.
+fn cedo(population: &Population, schedule: &[ScheduledMessage]) -> CedoRouter {
+    let mut router = CedoRouter::new(population.interests.len());
+    for m in schedule {
+        for &dest in &m.expected_destinations {
+            for &kw in &m.source_tags {
+                if population.interests[dest.index()].contains(&kw) {
+                    router.schedule_request(m.at, dest, kw, m.ttl_secs);
+                }
+            }
+        }
+    }
+    router
+}
+
+/// The [`Arm`] a given overlay state corresponds to: the overlay axis *is*
+/// the paper's arm split, generalized beyond ChitChat.
+#[must_use]
+pub fn arm_for(overlay: Overlay) -> Arm {
+    match overlay {
+        Overlay::On => Arm::Incentive,
+        Overlay::Off => Arm::ChitChat,
     }
 }
 
-/// The result of one arm under one seed.
-#[derive(Debug, Clone)]
+/// The result of one cell under one seed.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArmRun {
     /// Kernel-level statistics.
     pub summary: RunSummary,
@@ -346,77 +374,10 @@ pub struct ArmRun {
     pub attacker_tokens: f64,
 }
 
-/// Runs one `(scenario, arm, seed)` to completion.
-#[must_use]
-pub fn run_once(scenario: &Scenario, arm: Arm, seed: u64) -> ArmRun {
-    run_once_traced(scenario, arm, seed, None).0
-}
-
-/// [`run_once`] with an optional kernel event trace: when `trace_capacity`
-/// is set, the run records up to that many events and returns their
-/// rendered text alongside the results (the CLI's `--trace` flag).
-#[must_use]
-pub fn run_once_traced(
-    scenario: &Scenario,
-    arm: Arm,
-    seed: u64,
-    trace_capacity: Option<usize>,
-) -> (ArmRun, Option<String>) {
-    run_once_checked(scenario, arm, seed, trace_capacity, None)
-}
-
-/// [`run_once_traced`] with an optional invariant-audit cadence (see
-/// [`build_simulation_checked`]). A breach panics with the seed, the chaos
-/// spec and a trace excerpt — everything needed for a one-command replay.
-#[must_use]
-pub fn run_once_checked(
-    scenario: &Scenario,
-    arm: Arm,
-    seed: u64,
-    trace_capacity: Option<usize>,
-    check_every: Option<u64>,
-) -> (ArmRun, Option<String>) {
-    let (run, rendered, _) =
-        run_once_observed(scenario, arm, seed, trace_capacity, check_every, false);
-    (run, rendered)
-}
-
-/// The fully instrumented single run: optional trace, optional invariant
-/// audit, optional wall-clock profiling (see [`PerfReport`]) — the CLI's
-/// `run` command with all flags. Profiling changes no simulation outcome.
-#[must_use]
-pub fn run_once_observed(
-    scenario: &Scenario,
-    arm: Arm,
-    seed: u64,
-    trace_capacity: Option<usize>,
-    check_every: Option<u64>,
-    profile: bool,
-) -> (ArmRun, Option<String>, Option<PerfReport>) {
-    let trace = trace_capacity.map(dtn_sim::trace::TraceLog::bounded);
-    let mut sim = build_simulation_opts(scenario, arm, seed, trace, check_every, profile);
-    let t0 = std::time::Instant::now();
-    let _ = sim.run_until(SimTime::from_secs(scenario.duration_secs));
-    let perf = profile.then(|| PerfReport::capture(&sim, t0.elapsed().as_secs_f64()));
-    let rendered = trace_capacity.map(|_| sim.api().trace().render());
-    let (router, summary) = sim.finish();
-    (
-        ArmRun {
-            summary,
-            broke_nodes: router.ledger().broke_nodes().len(),
-            attacker_tokens: router.attacker_tokens(),
-            protocol: router.stats(),
-        },
-        rendered,
-        perf,
-    )
-}
-
 /// Wall-clock performance report for one or more runs: the observability
-/// record every later perf PR diffs against. Produced by the perf-enabled
-/// run variants ([`run_once_perf`], [`run_seeds_perf`],
-/// [`compare_arms_perf`]) and serialized by the CLI's `--metrics-out` and
-/// `dtn-bench`'s `perf` binary.
+/// record every later perf change diffs against. Produced by profiled runs
+/// ([`run`] with `profile` set, [`compare_perf`]) and serialized by the
+/// CLI's `--metrics-out` and `dtn-bench`'s `perf` binary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PerfReport {
     /// Number of `(arm, seed)` runs folded into this report.
@@ -445,10 +406,7 @@ impl PerfReport {
     /// Captures a finished simulation's counters and phase timings,
     /// attributing `wall_secs` of measured wall-clock to it.
     #[must_use]
-    pub fn capture<P: dtn_sim::protocol::Protocol>(
-        sim: &Simulation<P>,
-        wall_secs: f64,
-    ) -> PerfReport {
+    pub fn capture<P: Protocol>(sim: &Simulation<P>, wall_secs: f64) -> PerfReport {
         let counters = *sim.api().counters();
         let sim_secs = sim.api().now().as_secs();
         let wall = wall_secs.max(1e-12);
@@ -539,15 +497,6 @@ impl PerfReport {
     }
 }
 
-/// [`run_once`] with the phase profiler enabled, returning the run's
-/// [`PerfReport`] alongside the results. The simulation outcome is
-/// identical to an unprofiled run of the same `(scenario, arm, seed)`.
-#[must_use]
-pub fn run_once_perf(scenario: &Scenario, arm: Arm, seed: u64) -> (ArmRun, PerfReport) {
-    let (run, _, perf) = run_once_observed(scenario, arm, seed, None, None, true);
-    (run, perf.expect("profiling was enabled"))
-}
-
 /// The worker-thread cap for multi-seed runs: the machine's available
 /// parallelism (at least 1). Unbounded one-thread-per-seed spawning
 /// oversubscribes small machines at `--full` paper scale and skews every
@@ -560,68 +509,29 @@ pub fn seed_parallelism() -> usize {
 }
 
 /// Runs one arm over several seeds — through the [`crate::sweep`]
-/// executor's shared worker-pool queue — and averages the summaries.
-/// Results are order-stable and identical to a sequential run of the same
-/// seeds (each seed's simulation is deterministic and shares no state).
+/// executor's shared worker-pool queue, memoized in its run cache — and
+/// averages the summaries. Results are order-stable and identical to a
+/// sequential run of the same seeds (each seed's simulation is
+/// deterministic and shares no state).
 ///
 /// # Panics
 ///
 /// Panics if `seeds` is empty or a worker thread panics.
 #[must_use]
 pub fn run_seeds(scenario: &Scenario, arm: Arm, seeds: &[u64]) -> RunSummary {
-    RunSummary::mean_of(&run_each_seed(scenario, arm, seeds))
+    RunSummary::mean_of(&crate::sweep::run_arm_seeds(scenario, arm, seeds))
 }
 
-/// Runs every seed and returns the per-seed summaries in `seeds` order.
-///
-/// Seeds execute on the sweep executor's worker pool: one shared queue,
-/// no chunk barriers (the old `chunks(seed_parallelism())` path made every
-/// chunk wait on its slowest seed), and memoized — a seed another figure
-/// already simulated is answered from the run cache.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty or a worker thread panics.
-#[must_use]
-pub fn run_each_seed(scenario: &Scenario, arm: Arm, seeds: &[u64]) -> Vec<RunSummary> {
-    crate::sweep::run_arm_seeds(scenario, arm, seeds)
-}
-
-/// [`run_seeds`] with profiling: seeds run *sequentially* so the merged
-/// [`PerfReport`]'s wall-clock and throughput numbers measure the kernel,
-/// not thread-scheduler contention.
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty.
-#[must_use]
-pub fn run_seeds_perf(scenario: &Scenario, arm: Arm, seeds: &[u64]) -> (RunSummary, PerfReport) {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let mut report: Option<PerfReport> = None;
-    let mut runs = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        let (run, perf) = run_once_perf(scenario, arm, seed);
-        runs.push(run.summary);
-        match &mut report {
-            Some(r) => r.merge(&perf),
-            None => report = Some(perf),
-        }
-    }
-    (
-        RunSummary::mean_of(&runs),
-        report.expect("at least one seed"),
-    )
-}
-
-/// A paired comparison of the two arms on the same scenario and seeds —
-/// the row format of every figure in the paper.
+/// A paired comparison of overlay on vs off (for ChitChat: the paper's
+/// Incentive vs ChitChat arms) on the same scenario and seeds — the row
+/// format of every figure in the paper.
 #[derive(Debug, Clone)]
 pub struct Comparison {
     /// The condition name.
     pub name: String,
-    /// The Incentive arm's mean summary.
+    /// The Incentive arm's (overlay-on) mean summary.
     pub incentive: RunSummary,
-    /// The ChitChat arm's mean summary.
+    /// The ChitChat arm's (overlay-off) mean summary.
     pub chitchat: RunSummary,
 }
 
@@ -645,84 +555,76 @@ impl Comparison {
     }
 }
 
-/// Runs both arms over `seeds` as one sweep plan (every `(arm, seed)`
-/// cell on the shared worker pool) and pairs the averaged results.
+/// Runs overlay-on and overlay-off over `seeds` for one backend as a single
+/// sweep plan (every cell on the shared worker pool) and pairs the averaged
+/// results. With `BackendKind::ChitChat` this is the paper's Incentive vs
+/// ChitChat comparison: [`Cell::backend`] canonicalizes those cells to the
+/// arm cells, so they share the arms' cache entries.
 ///
 /// # Panics
 ///
 /// Panics if `seeds` is empty or a worker thread panics.
 #[must_use]
-pub fn compare_arms(scenario: &Scenario, seeds: &[u64]) -> Comparison {
-    use crate::sweep::{run_cells, Cell};
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let cells: Vec<Cell> = Arm::BOTH
-        .iter()
-        .flat_map(|&arm| {
-            seeds
-                .iter()
-                .map(move |&seed| Cell::arm(scenario.clone(), arm, seed))
-        })
-        .collect();
-    let results = run_cells(&cells);
-    let (inc, cc) = results.split_at(seeds.len());
-    let mean = |half: &[crate::sweep::CellResult]| {
-        RunSummary::mean_of(&half.iter().map(|r| r.summary.clone()).collect::<Vec<_>>())
-    };
-    Comparison {
-        name: scenario.name.clone(),
-        incentive: mean(inc),
-        chitchat: mean(cc),
-    }
+pub fn compare(scenario: &Scenario, kind: BackendKind, seeds: &[u64]) -> Comparison {
+    let results = crate::sweep::run_cells(&overlay_cells(scenario, kind, seeds));
+    pair(scenario, results.into_iter().map(|r| r.summary).collect())
 }
 
-/// [`compare_arms`] with profiling: both arms run sequentially (seeds
-/// too), and the returned [`PerfReport`] folds the whole comparison's
-/// wall-clock, throughput and phase breakdown together.
+/// [`compare`] with profiling: every cell runs sequentially (seeds too), so
+/// the returned [`PerfReport`] measures the kernel rather than scheduler
+/// contention, and folds the whole comparison's wall-clock, throughput and
+/// phase breakdown together. The comparison itself is identical.
+///
+/// # Panics
+///
+/// Panics if `seeds` is empty.
 #[must_use]
-pub fn compare_arms_perf(scenario: &Scenario, seeds: &[u64]) -> (Comparison, PerfReport) {
-    let (incentive, mut perf) = run_seeds_perf(scenario, Arm::Incentive, seeds);
-    let (chitchat, cc_perf) = run_seeds_perf(scenario, Arm::ChitChat, seeds);
-    perf.merge(&cc_perf);
+pub fn compare_perf(
+    scenario: &Scenario,
+    kind: BackendKind,
+    seeds: &[u64],
+) -> (Comparison, PerfReport) {
+    let opts = RunOpts {
+        profile: true,
+        ..RunOpts::default()
+    };
+    let mut report: Option<PerfReport> = None;
+    let mut summaries = Vec::new();
+    for cell in overlay_cells(scenario, kind, seeds) {
+        let out = run(&cell, opts);
+        let perf = out.perf.expect("profiling was enabled");
+        match &mut report {
+            Some(r) => r.merge(&perf),
+            None => report = Some(perf),
+        }
+        summaries.push(out.run.summary);
+    }
     (
-        Comparison {
-            name: scenario.name.clone(),
-            incentive,
-            chitchat,
-        },
-        perf,
+        pair(scenario, summaries),
+        report.expect("at least one seed"),
     )
 }
 
-/// Runs overlay-on and overlay-off over `seeds` for one backend as a
-/// single sweep plan and pairs the averaged results: the generalized form
-/// of [`compare_arms`] ("Incentive vs ChitChat" is exactly
-/// `compare_overlays(_, BackendKind::ChitChat, _)` — and its cells share
-/// the arm cells' cache entries).
-///
-/// # Panics
-///
-/// Panics if `seeds` is empty or a worker thread panics.
-#[must_use]
-pub fn compare_overlays(scenario: &Scenario, kind: BackendKind, seeds: &[u64]) -> Comparison {
-    use crate::sweep::{run_cells, Cell};
+/// The overlay-on cells for every seed, then the overlay-off cells.
+fn overlay_cells(scenario: &Scenario, kind: BackendKind, seeds: &[u64]) -> Vec<Cell> {
     assert!(!seeds.is_empty(), "need at least one seed");
-    let cells: Vec<Cell> = Overlay::BOTH
+    Overlay::BOTH
         .iter()
         .flat_map(|&overlay| {
             seeds
                 .iter()
                 .map(move |&seed| Cell::backend(scenario.clone(), kind, overlay, seed))
         })
-        .collect();
-    let results = run_cells(&cells);
-    let (on, off) = results.split_at(seeds.len());
-    let mean = |half: &[crate::sweep::CellResult]| {
-        RunSummary::mean_of(&half.iter().map(|r| r.summary.clone()).collect::<Vec<_>>())
-    };
+        .collect()
+}
+
+/// Averages each half of [`overlay_cells`]' summaries into a comparison.
+fn pair(scenario: &Scenario, summaries: Vec<RunSummary>) -> Comparison {
+    let (on, off) = summaries.split_at(summaries.len() / 2);
     Comparison {
         name: scenario.name.clone(),
-        incentive: mean(on),
-        chitchat: mean(off),
+        incentive: RunSummary::mean_of(on),
+        chitchat: RunSummary::mean_of(off),
     }
 }
 
@@ -730,6 +632,30 @@ pub fn compare_overlays(scenario: &Scenario, kind: BackendKind, seeds: &[u64]) -
 mod tests {
     use super::*;
     use crate::paper;
+
+    /// One plain run of `(scenario, arm, seed)`.
+    fn run_arm(s: &Scenario, arm: Arm, seed: u64) -> ArmRun {
+        run(&Cell::arm(s.clone(), arm, seed), RunOpts::default()).run
+    }
+
+    /// One audited run of `(scenario, arm, seed)`.
+    fn run_audited(s: &Scenario, arm: Arm, seed: u64, every: u64) -> ArmRun {
+        let opts = RunOpts {
+            check_every: Some(every),
+            ..RunOpts::default()
+        };
+        run(&Cell::arm(s.clone(), arm, seed), opts).run
+    }
+
+    /// One profiled run of `(scenario, arm, seed)` and its report.
+    fn run_profiled(s: &Scenario, arm: Arm, seed: u64) -> (ArmRun, PerfReport) {
+        let opts = RunOpts {
+            profile: true,
+            ..RunOpts::default()
+        };
+        let out = run(&Cell::arm(s.clone(), arm, seed), opts);
+        (out.run, out.perf.expect("profiling was enabled"))
+    }
 
     /// A tiny scenario that runs in well under a second.
     fn tiny() -> Scenario {
@@ -753,8 +679,8 @@ mod tests {
     }
 
     #[test]
-    fn run_once_produces_traffic_and_deliveries() {
-        let run = run_once(&tiny(), Arm::ChitChat, 7);
+    fn a_run_produces_traffic_and_deliveries() {
+        let run = run_arm(&tiny(), Arm::ChitChat, 7);
         assert!(run.summary.created > 0);
         assert!(run.summary.relays_completed > 0, "some forwarding happened");
         assert!(run.summary.delivery_ratio > 0.0, "something was delivered");
@@ -763,7 +689,7 @@ mod tests {
 
     #[test]
     fn incentive_arm_settles_payments() {
-        let run = run_once(&tiny(), Arm::Incentive, 7);
+        let run = run_arm(&tiny(), Arm::Incentive, 7);
         assert!(run.protocol.settlements > 0, "deliveries were paid for");
         assert!(run.protocol.tokens_awarded > 0.0);
     }
@@ -771,8 +697,8 @@ mod tests {
     #[test]
     fn identical_seed_identical_result() {
         let s = tiny();
-        let a = run_once(&s, Arm::Incentive, 3);
-        let b = run_once(&s, Arm::Incentive, 3);
+        let a = run_arm(&s, Arm::Incentive, 3);
+        let b = run_arm(&s, Arm::Incentive, 3);
         assert_eq!(a.summary, b.summary);
         assert_eq!(a.protocol, b.protocol);
     }
@@ -789,8 +715,8 @@ mod tests {
         s.selfish_fraction = 0.4;
         s.protocol.incentive.initial_tokens = 5.0;
         s.protocol.enrichment_enabled = false;
-        let inc = run_once(&s, Arm::Incentive, 1);
-        let cc = run_once(&s, Arm::ChitChat, 1);
+        let inc = run_arm(&s, Arm::Incentive, 1);
+        let cc = run_arm(&s, Arm::ChitChat, 1);
         assert!(inc.broke_nodes > 0, "some nodes ran out of tokens");
         assert!(
             inc.protocol.refused_broke_destination > 0,
@@ -812,8 +738,8 @@ mod tests {
                 .parse()
                 .unwrap(),
         );
-        let a = run_once_checked(&s, Arm::Incentive, 5, None, Some(30)).0;
-        let b = run_once_checked(&s, Arm::Incentive, 5, None, Some(30)).0;
+        let a = run_audited(&s, Arm::Incentive, 5, 30);
+        let b = run_audited(&s, Arm::Incentive, 5, 30);
         assert_eq!(a.summary, b.summary);
         assert_eq!(a.protocol, b.protocol);
     }
@@ -823,8 +749,8 @@ mod tests {
         let s = tiny();
         let mut chaotic = tiny();
         chaotic.chaos = Some("crash=8,crashdown=120,wipe,loss=0.2".parse().unwrap());
-        let clean = run_once(&s, Arm::Incentive, 7);
-        let faulty = run_once_checked(&chaotic, Arm::Incentive, 7, None, Some(60)).0;
+        let clean = run_arm(&s, Arm::Incentive, 7);
+        let faulty = run_audited(&chaotic, Arm::Incentive, 7, 60);
         assert_ne!(
             clean.summary, faulty.summary,
             "a hot plan must change the outcome"
@@ -845,9 +771,14 @@ mod tests {
             backoff_base_secs: 5.0,
             ..dtn_sim::transfer::RecoveryPolicy::default()
         });
-        let sim = build_simulation(&s, Arm::Incentive, 7);
+        let sim = build_simulation_opts(&s, Arm::Incentive, 7, None, None, false);
         assert_eq!(sim.recovery_policy(), s.recovery.as_ref());
-        let (run, _, perf) = run_once_observed(&s, Arm::Incentive, 7, None, Some(60), true);
+        let opts = RunOpts {
+            check_every: Some(60),
+            profile: true,
+            ..RunOpts::default()
+        };
+        let RunOutput { run, perf, .. } = run(&Cell::arm(s.clone(), Arm::Incentive, 7), opts);
         assert!(
             run.summary.transfers_retried > 0,
             "loss chaos forces retries"
@@ -864,7 +795,7 @@ mod tests {
         let mut off = tiny();
         off.recovery = Some(dtn_sim::transfer::RecoveryPolicy::disabled());
         assert_eq!(
-            build_simulation(&off, Arm::Incentive, 7).recovery_policy(),
+            build_simulation_opts(&off, Arm::Incentive, 7, None, None, false).recovery_policy(),
             None
         );
     }
@@ -882,7 +813,7 @@ mod tests {
         );
         // Same world as the DcimRouter build: node count, buffer capacity
         // and schedule-driven message creation all line up.
-        let reference = build_simulation(&s, Arm::ChitChat, 3);
+        let reference = build_simulation_opts(&s, Arm::ChitChat, 3, None, None, false);
         assert_eq!(sim.api().node_count(), reference.api().node_count());
         assert_eq!(
             sim.api().buffer(NodeId(0)).capacity_bytes(),
@@ -915,10 +846,10 @@ mod tests {
         let s = tiny();
         let seeds: Vec<u64> = (1..=7).collect();
         crate::sweep::clear_memo();
-        let pooled = run_each_seed(&s, Arm::ChitChat, &seeds);
+        let pooled = crate::sweep::run_arm_seeds(&s, Arm::ChitChat, &seeds);
         let sequential: Vec<_> = seeds
             .iter()
-            .map(|&seed| run_once(&s, Arm::ChitChat, seed).summary)
+            .map(|&seed| run_arm(&s, Arm::ChitChat, seed).summary)
             .collect();
         assert_eq!(pooled, sequential);
         assert_eq!(
@@ -929,23 +860,23 @@ mod tests {
     }
 
     #[test]
-    fn compare_arms_routes_both_arms_through_one_plan() {
+    fn compare_routes_both_arms_through_one_plan() {
         let s = tiny();
         crate::sweep::clear_memo();
-        let cmp = compare_arms(&s, &[1, 2]);
+        let cmp = compare(&s, BackendKind::ChitChat, &[1, 2]);
         assert_eq!(cmp.name, s.name);
         assert_eq!(
             cmp.incentive,
             RunSummary::mean_of(&[
-                run_once(&s, Arm::Incentive, 1).summary,
-                run_once(&s, Arm::Incentive, 2).summary,
+                run_arm(&s, Arm::Incentive, 1).summary,
+                run_arm(&s, Arm::Incentive, 2).summary,
             ])
         );
         assert_eq!(
             cmp.chitchat,
             RunSummary::mean_of(&[
-                run_once(&s, Arm::ChitChat, 1).summary,
-                run_once(&s, Arm::ChitChat, 2).summary,
+                run_arm(&s, Arm::ChitChat, 1).summary,
+                run_arm(&s, Arm::ChitChat, 2).summary,
             ])
         );
     }
@@ -953,8 +884,8 @@ mod tests {
     #[test]
     fn perf_run_reproduces_unprofiled_results() {
         let s = tiny();
-        let plain = run_once(&s, Arm::Incentive, 7);
-        let (profiled, perf) = run_once_perf(&s, Arm::Incentive, 7);
+        let plain = run_arm(&s, Arm::Incentive, 7);
+        let (profiled, perf) = run_profiled(&s, Arm::Incentive, 7);
         assert_eq!(
             plain.summary, profiled.summary,
             "metrics collection must not perturb the simulation"
@@ -979,8 +910,8 @@ mod tests {
     #[test]
     fn perf_reports_merge_additively() {
         let s = tiny();
-        let (_, a) = run_once_perf(&s, Arm::ChitChat, 1);
-        let (_, b) = run_once_perf(&s, Arm::ChitChat, 2);
+        let (_, a) = run_profiled(&s, Arm::ChitChat, 1);
+        let (_, b) = run_profiled(&s, Arm::ChitChat, 2);
         let mut merged = a.clone();
         merged.merge(&b);
         assert_eq!(merged.runs, 2);
@@ -995,8 +926,68 @@ mod tests {
         let parts: f64 = a.phases.iter().chain(&b.phases).map(|p| p.secs).sum();
         assert!((phase_sum - parts).abs() < 1e-9);
         // And the comparison helper folds both arms into one report.
-        let (cmp, perf) = compare_arms_perf(&s, &[1]);
+        let (cmp, perf) = compare_perf(&s, BackendKind::ChitChat, &[1]);
         assert_eq!(perf.runs, 2, "one run per arm");
         assert!(cmp.incentive != cmp.chitchat);
+    }
+
+    #[test]
+    fn instrumentation_never_perturbs_any_cell_kind() {
+        // Trace, audit and profile are observation only: for the paper arm,
+        // a backend cell and CEDO alike, each returns the plain run's
+        // results exactly.
+        let s = tiny();
+        let cells = [
+            Cell::arm(s.clone(), Arm::Incentive, 7),
+            Cell::backend(s.clone(), BackendKind::Epidemic, Overlay::On, 7),
+            Cell::cedo(s.clone(), 7),
+        ];
+        let instrumented = [
+            RunOpts {
+                trace_capacity: Some(100_000),
+                ..RunOpts::default()
+            },
+            RunOpts {
+                check_every: Some(1),
+                ..RunOpts::default()
+            },
+            RunOpts {
+                profile: true,
+                ..RunOpts::default()
+            },
+        ];
+        for cell in &cells {
+            let plain = run(cell, RunOpts::default());
+            assert!(plain.trace.is_none() && plain.perf.is_none());
+            for opts in instrumented {
+                let out = run(cell, opts);
+                assert_eq!(out.run, plain.run, "{:?} under {opts:?}", cell.kind);
+                assert_eq!(out.trace.is_some(), opts.trace_capacity.is_some());
+                assert_eq!(out.perf.is_some(), opts.profile);
+            }
+        }
+    }
+
+    #[test]
+    fn cedo_cells_honour_the_audit_cadence() {
+        let s = tiny();
+        let cell = Cell::cedo(s.clone(), 4);
+        let plain = run(&cell, RunOpts::default()).run;
+        let audited = run(
+            &cell,
+            RunOpts {
+                check_every: Some(1),
+                ..RunOpts::default()
+            },
+        )
+        .run;
+        assert_eq!(plain.summary, audited.summary);
+        assert_eq!(plain.protocol, ProtocolStats::default(), "no economy");
+        // The scenario's own cadence reaches the CEDO build as well.
+        let mut audited_scenario = s;
+        audited_scenario.audit_every = Some(60);
+        let mut sim = build_with_protocol(&audited_scenario, 4, cedo);
+        let _ = sim.run_until(SimTime::from_secs(audited_scenario.duration_secs));
+        assert!(sim.invariant_checks_run().expect("audits armed") > 0);
     }
 }

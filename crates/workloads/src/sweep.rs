@@ -38,31 +38,30 @@ use std::sync::OnceLock;
 
 use dtn_sim::metrics::MetricsRegistry;
 use dtn_sim::stats::RunSummary;
-use dtn_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 use dtn_routing::backend::{BackendKind, Overlay};
 
-use crate::runner::{self, seed_parallelism};
+use crate::runner::{self, seed_parallelism, RunOpts};
 use crate::scenario::{Arm, Scenario};
 
 /// What mechanism a cell runs: one of the paper's two arms, a (backend ×
 /// overlay) grid point, or CEDO on the identical workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellKind {
-    /// The mechanism (or the ChitChat baseline) via [`runner::run_once`].
+    /// The mechanism (or the ChitChat baseline).
     Arm(Arm),
-    /// The incentive overlay over an arbitrary routing backend via
-    /// [`runner::run_backend`]. ChitChat-backend cells are canonicalized
-    /// to [`CellKind::Arm`] by [`Cell::backend`], never constructed here.
+    /// The incentive overlay over an arbitrary routing backend.
+    /// [`Cell::backend`] canonicalizes ChitChat-backend cells to
+    /// [`CellKind::Arm`].
     Backend {
         /// The routing substrate.
         backend: BackendKind,
         /// Whether the mechanism wraps it.
         overlay: Overlay,
     },
-    /// CEDO via [`runner::build_with_protocol`]: the one router without a
-    /// backend, run standalone (no behavior models, drop-oldest buffers).
+    /// CEDO: the one router without a backend, run standalone (no
+    /// behavior models, drop-oldest buffers).
     Cedo,
 }
 
@@ -146,11 +145,10 @@ impl Cell {
     /// serializes struct fields in declaration order, so the JSON byte
     /// stream is deterministic.
     ///
-    /// The scenario's own `backend`/`overlay` plumbing fields are removed
-    /// before hashing: the cell's `kind` tag is the authoritative grid
-    /// coordinate (the runner ignores the scenario fields once a cell is
-    /// built), and their absence keeps every pre-grid cache entry
-    /// byte-compatible. Optional fields added later (`strategies`,
+    /// The scenario's own `backend` plumbing field is removed before
+    /// hashing: the cell's `kind` tag is the authoritative grid coordinate
+    /// (the runner ignores the scenario field once a cell is built), and
+    /// its absence keeps every pre-grid cache entry byte-compatible. Optional fields added later (`strategies`,
     /// `audit_every`, `selfish_duty_cycle`, `kernel_mode`) are stripped
     /// only while unset:
     /// a scenario that leaves them at their defaults hashes to the key it
@@ -167,7 +165,7 @@ impl Cell {
         let mut value = Serialize::to_value(&canonical);
         if let serde_json::Value::Map(entries) = &mut value {
             entries.retain(|(key, value)| {
-                if key == "backend" || key == "overlay" {
+                if key == "backend" {
                     return false;
                 }
                 let null_when_unset = matches!(
@@ -469,54 +467,14 @@ fn disk_store(dir: &Path, key: u128, result: &CellResult) {
 /// Simulates one cell from scratch (no cache involvement).
 #[must_use]
 pub fn run_cell_uncached(cell: &Cell) -> CellResult {
-    match cell.kind {
-        CellKind::Arm(arm) => {
-            let run = runner::run_once(&cell.scenario, arm, cell.seed);
-            CellResult {
-                summary: run.summary,
-                settlements: run.protocol.settlements,
-                tokens_awarded: run.protocol.tokens_awarded,
-                broke_nodes: run.broke_nodes as u64,
-                attacker_tokens: run.attacker_tokens,
-            }
-        }
-        CellKind::Backend { backend, overlay } => {
-            let run = runner::run_backend(&cell.scenario, backend, overlay, cell.seed);
-            CellResult {
-                summary: run.summary,
-                settlements: run.protocol.settlements,
-                tokens_awarded: run.protocol.tokens_awarded,
-                broke_nodes: run.broke_nodes as u64,
-                attacker_tokens: run.attacker_tokens,
-            }
-        }
-        CellKind::Cedo => CellResult {
-            summary: run_cedo_cell(&cell.scenario, cell.seed),
-            settlements: 0,
-            tokens_awarded: 0.0,
-            broke_nodes: 0,
-            attacker_tokens: 0.0,
-        },
+    let run = runner::run(cell, RunOpts::default()).run;
+    CellResult {
+        summary: run.summary,
+        settlements: run.protocol.settlements,
+        tokens_awarded: run.protocol.tokens_awarded,
+        broke_nodes: run.broke_nodes as u64,
+        attacker_tokens: run.attacker_tokens,
     }
-}
-
-fn run_cedo_cell(scenario: &Scenario, seed: u64) -> RunSummary {
-    let mut sim = runner::build_with_protocol(scenario, seed, |pop, schedule| {
-        // CEDO is pull-based: each expected (message, destination) pair
-        // becomes a keyword request issued at creation time.
-        let mut router = dtn_routing::cedo::CedoRouter::new(pop.interests.len());
-        for m in schedule {
-            for &dest in &m.expected_destinations {
-                for &kw in &m.source_tags {
-                    if pop.interests[dest.index()].contains(&kw) {
-                        router.schedule_request(m.at, dest, kw, m.ttl_secs);
-                    }
-                }
-            }
-        }
-        router
-    });
-    sim.run_until(SimTime::from_secs(scenario.duration_secs))
 }
 
 /// Executes a plan of cells and returns their results **in plan order**.
@@ -793,14 +751,13 @@ mod tests {
 
     #[test]
     fn scenario_plumbing_fields_do_not_fork_the_cache_key() {
-        // `Scenario::backend`/`overlay` are defaults consumed when the plan
-        // is built; the cell's kind is authoritative, so setting them must
-        // not split the cache (and their absence from the hash keeps
-        // pre-grid disk entries valid).
+        // `Scenario::backend` is a default consumed when the plan is built;
+        // the cell's kind is authoritative, so setting it must not split
+        // the cache (and its absence from the hash keeps pre-grid disk
+        // entries valid).
         let bare = Cell::arm(tiny("plumb"), Arm::Incentive, 9);
         let mut annotated_scenario = tiny("plumb");
         annotated_scenario.backend = Some(BackendKind::Prophet);
-        annotated_scenario.overlay = Some(Overlay::Off);
         let annotated = Cell::arm(annotated_scenario, Arm::Incentive, 9);
         assert_eq!(bare.cache_key(), annotated.cache_key());
     }

@@ -25,7 +25,7 @@ fn main() {
     scenario.protocol.rating_prob = 0.4;
     let scenario = scenario.named("disaster-response");
 
-    let mut sim = build_simulation(&scenario, Arm::Incentive, 2024);
+    let mut sim = build_simulation_opts(&scenario, Arm::Incentive, 2024, None, None, false);
     let summary = sim.run_until(SimTime::from_secs(scenario.duration_secs));
     let (router, _) = sim.finish();
 

@@ -17,3 +17,9 @@ pub fn fast_scenario() -> Scenario {
     s.protocol.incentive.initial_tokens = 20.0;
     s.named("integration-fast")
 }
+
+/// One plain (uninstrumented) run of `(scenario, arm, seed)` to completion.
+#[must_use]
+pub fn run_arm(scenario: &Scenario, arm: Arm, seed: u64) -> ArmRun {
+    run(&Cell::arm(scenario.clone(), arm, seed), RunOpts::default()).run
+}

@@ -93,7 +93,7 @@ fn colluding_taggers_get_economically_isolated() {
     s.malicious_fraction = 0.2;
     s.protocol.rating_prob = 0.5;
     let s = s.named("collusion");
-    let mut sim = build_simulation(&s, Arm::Incentive, 17);
+    let mut sim = build_simulation_opts(&s, Arm::Incentive, 17, None, None, false);
     let _ = sim.run_until(SimTime::from_secs(s.duration_secs));
     let (router, _) = sim.finish();
 
@@ -165,7 +165,7 @@ fn free_riders_are_caught_by_the_watchdog_and_refused_custody() {
         ..StrategyMix::default()
     };
     let s = strategy_scenario("free-riders", mix);
-    let mut sim = build_simulation(&s, Arm::Incentive, 17);
+    let mut sim = build_simulation_opts(&s, Arm::Incentive, 17, None, None, false);
     let _ = sim.run_until(SimTime::from_secs(s.duration_secs));
     let (router, _) = sim.finish();
     let stats = router.stats();
@@ -204,7 +204,7 @@ fn minority_game_players_shut_their_radio_when_yield_trails_cost() {
     let mut honest = s.clone();
     honest.strategies = None;
     let run = |scenario: &Scenario| {
-        let mut sim = build_simulation(scenario, Arm::Incentive, 17);
+        let mut sim = build_simulation_opts(scenario, Arm::Incentive, 17, None, None, false);
         let _ = sim.run_until(SimTime::from_secs(scenario.duration_secs));
         sim.finish()
     };
@@ -233,7 +233,7 @@ fn tag_farmers_inflate_ring_mates_above_the_honest_view() {
         ..StrategyMix::default()
     };
     let s = strategy_scenario("farmers", mix);
-    let mut sim = build_simulation(&s, Arm::Incentive, 17);
+    let mut sim = build_simulation_opts(&s, Arm::Incentive, 17, None, None, false);
     let _ = sim.run_until(SimTime::from_secs(s.duration_secs));
     let (router, _) = sim.finish();
     let farmers: Vec<NodeId> = (0..s.nodes as u32)
@@ -276,7 +276,7 @@ fn whitewashers_churn_their_bad_identity() {
         ..StrategyMix::default()
     };
     let s = strategy_scenario("whitewash", mix);
-    let mut sim = build_simulation(&s, Arm::Incentive, 17);
+    let mut sim = build_simulation_opts(&s, Arm::Incentive, 17, None, None, false);
     let _ = sim.run_until(SimTime::from_secs(s.duration_secs));
     let (router, _) = sim.finish();
     assert!(
@@ -329,7 +329,7 @@ fn strategy_runs_are_deterministic() {
     };
     let s = strategy_scenario("determinism", mix);
     let run = |seed| {
-        let mut sim = build_simulation(&s, Arm::Incentive, seed);
+        let mut sim = build_simulation_opts(&s, Arm::Incentive, seed, None, None, false);
         let _ = sim.run_until(SimTime::from_secs(s.duration_secs));
         let (router, summary) = sim.finish();
         (
@@ -366,7 +366,7 @@ fn token_economy_alone_punishes_free_riders() {
     s.protocol.enrichment_enabled = false;
     s.selfish_fraction = 0.3;
     let s = s.named("no-drm-free-riders");
-    let mut sim = build_simulation(&s, Arm::Incentive, 4);
+    let mut sim = build_simulation_opts(&s, Arm::Incentive, 4, None, None, false);
     let _ = sim.run_until(SimTime::from_secs(s.duration_secs));
     let (router, _) = sim.finish();
     assert!(

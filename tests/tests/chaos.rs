@@ -6,14 +6,13 @@
 //! breach panics with the seed and fault spec, so a plain green run is the
 //! assertion that no fault regime can corrupt the mechanism's books.
 
-use dtn_integration_tests::fast_scenario;
+use dtn_integration_tests::{fast_scenario, run_arm};
 use dtn_sim::faults::FaultPlan;
 use dtn_sim::message::MessageId;
 use dtn_sim::time::{SimDuration, SimTime};
 use dtn_sim::transfer::{RecoveryPolicy, TransferEngine};
 use dtn_sim::world::NodeId;
 use dtn_workloads::prelude::*;
-use dtn_workloads::runner::{build_simulation_checked, run_once_checked};
 use proptest::prelude::*;
 
 /// Audit cadence for these tests: every 15 simulated steps. The rating
@@ -27,7 +26,26 @@ fn chaotic(spec: &str) -> Scenario {
 }
 
 fn run_audited(s: &Scenario, arm: Arm, seed: u64) -> ArmRun {
-    run_once_checked(s, arm, seed, None, Some(AUDIT_EVERY)).0
+    run_every(s, arm, seed, AUDIT_EVERY)
+}
+
+/// One run audited every `every` steps.
+fn run_every(s: &Scenario, arm: Arm, seed: u64, every: u64) -> ArmRun {
+    let opts = RunOpts {
+        check_every: Some(every),
+        ..RunOpts::default()
+    };
+    run(&Cell::arm(s.clone(), arm, seed), opts).run
+}
+
+/// One profiled run and its report.
+fn run_profiled(s: &Scenario, arm: Arm, seed: u64) -> (ArmRun, PerfReport) {
+    let opts = RunOpts {
+        profile: true,
+        ..RunOpts::default()
+    };
+    let out = run(&Cell::arm(s.clone(), arm, seed), opts);
+    (out.run, out.perf.expect("profiled"))
 }
 
 /// Named fault regimes covering every fault class the plan grammar can
@@ -105,8 +123,8 @@ fn the_checker_itself_never_perturbs_a_run() {
     // and an audited run of the same seed are identical, so leaving the
     // checker on costs time, never fidelity.
     let s = fast_scenario();
-    let plain = run_once(&s, Arm::Incentive, 13);
-    let audited = run_once_checked(&s, Arm::Incentive, 13, None, Some(1)).0;
+    let plain = run_arm(&s, Arm::Incentive, 13);
+    let audited = run_every(&s, Arm::Incentive, 13, 1);
     assert_eq!(plain.summary, audited.summary);
     assert_eq!(plain.protocol, audited.protocol);
 }
@@ -116,7 +134,7 @@ fn injected_faults_actually_fire() {
     // Guard against a silently inert layer: the heavy regime must inject
     // a visible volume of every configured fault class.
     let s = chaotic("crash=4,crashdown=60,wipe,cut=10,cutdown=20,loss=0.1");
-    let mut sim = build_simulation_checked(&s, Arm::Incentive, 3, None, Some(AUDIT_EVERY));
+    let mut sim = build_simulation_opts(&s, Arm::Incentive, 3, None, Some(AUDIT_EVERY), false);
     let _ = sim.run_until(dtn_sim::time::SimTime::from_secs(s.duration_secs));
     let stats = sim.fault_stats().expect("chaos enabled");
     assert!(stats.crashes > 0, "crashes fired: {stats:?}");
@@ -324,7 +342,7 @@ proptest! {
         let mut s = tiny_scenario();
         plan.validate().expect("generated plans are valid");
         s.chaos = Some(plan);
-        let run = run_once_checked(&s, Arm::Incentive, seed, None, Some(AUDIT_EVERY)).0;
+        let run = run_audited(&s, Arm::Incentive, seed);
         prop_assert!((0.0..=1.0).contains(&run.summary.delivery_ratio));
     }
 
@@ -337,8 +355,8 @@ proptest! {
     ) {
         let mut s = tiny_scenario();
         s.chaos = Some(plan);
-        let a = run_once_checked(&s, Arm::Incentive, seed, None, Some(AUDIT_EVERY)).0;
-        let b = run_once_checked(&s, Arm::Incentive, seed, None, Some(AUDIT_EVERY)).0;
+        let a = run_audited(&s, Arm::Incentive, seed);
+        let b = run_audited(&s, Arm::Incentive, seed);
         prop_assert_eq!(a.summary, b.summary);
         prop_assert_eq!(a.protocol, b.protocol);
     }
@@ -376,7 +394,7 @@ fn checkpoint_eviction_under_pressure_stays_settlement_safe() {
 
     // The profiled twin exposes the kernel counters; the observability
     // layer must not change results.
-    let (profiled, perf) = dtn_workloads::runner::run_once_perf(&s, Arm::Incentive, 9);
+    let (profiled, perf) = run_profiled(&s, Arm::Incentive, 9);
     assert_eq!(audited.summary, profiled.summary, "observers are inert");
     assert!(
         perf.metrics.counter("kernel.checkpoints_evicted") > 0,
@@ -384,7 +402,7 @@ fn checkpoint_eviction_under_pressure_stays_settlement_safe() {
     );
 
     // Deterministic replay, evictions included.
-    let (replay, perf2) = dtn_workloads::runner::run_once_perf(&s, Arm::Incentive, 9);
+    let (replay, perf2) = run_profiled(&s, Arm::Incentive, 9);
     assert_eq!(profiled.summary, replay.summary);
     assert_eq!(
         perf.metrics.counter("kernel.checkpoints_evicted"),
@@ -399,6 +417,6 @@ fn checkpoint_eviction_under_pressure_stays_settlement_safe() {
         checkpoint_capacity: 0,
         ..RecoveryPolicy::default()
     });
-    let (_, perf3) = dtn_workloads::runner::run_once_perf(&unbounded, Arm::Incentive, 9);
+    let (_, perf3) = run_profiled(&unbounded, Arm::Incentive, 9);
     assert_eq!(perf3.metrics.counter("kernel.checkpoints_evicted"), 0);
 }

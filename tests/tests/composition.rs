@@ -1,6 +1,7 @@
 //! Composition tests across extension modules: the watchdog feeding the
 //! DRM, result serialization, and summary aggregation edge cases.
 
+use dtn_integration_tests::run_arm;
 use dtn_reputation::prelude::*;
 use dtn_sim::message::MessageId;
 use dtn_sim::stats::RunSummary;
@@ -49,7 +50,7 @@ fn run_summary_json_round_trip() {
     s.area_km2 = 0.12;
     s.duration_secs = 600.0;
     s.message_ttl_secs = 500.0;
-    let run = run_once(&s.named("serde"), Arm::Incentive, 3);
+    let run = run_arm(&s.named("serde"), Arm::Incentive, 3);
     let json = serde_json::to_string(&run.summary).expect("serialize");
     let back: RunSummary = serde_json::from_str(&json).expect("deserialize");
     // Integer fields round-trip exactly; float fields to within 1 ULP of
@@ -101,7 +102,7 @@ fn single_node_world_is_inert() {
     s.area_km2 = 0.01;
     s.duration_secs = 300.0;
     s.message_ttl_secs = 200.0;
-    let run = run_once(&s.named("lonely"), Arm::Incentive, 1);
+    let run = run_arm(&s.named("lonely"), Arm::Incentive, 1);
     assert_eq!(run.summary.relays_completed, 0);
     assert_eq!(run.summary.delivered_pairs, 0);
     assert!(run.summary.created > 0, "the hermit still takes photos");
@@ -120,7 +121,7 @@ fn cli_template_is_runnable() {
     scenario.duration_secs = 600.0;
     scenario.message_ttl_secs = 500.0;
     for arm in Arm::BOTH {
-        let run = run_once(&scenario, arm, 2);
+        let run = run_arm(&scenario, arm, 2);
         assert!(run.summary.created > 0, "{arm:?}");
     }
 }

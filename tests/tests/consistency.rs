@@ -6,6 +6,7 @@
 //! with everything toggled off). On the same workload their outcomes must
 //! agree closely — a strong regression tripwire for both.
 
+use dtn_integration_tests::run_arm;
 use dtn_routing::chitchat::ChitChatRouter;
 use dtn_sim::stats::RunSummary;
 use dtn_sim::time::SimTime;
@@ -39,7 +40,7 @@ fn standalone_chitchat_matches_the_baseline_arm() {
     let s = scenario();
     let seed = 11;
     let standalone = run_standalone_chitchat(&s, seed);
-    let arm = run_once(&s, Arm::ChitChat, seed).summary;
+    let arm = run_arm(&s, Arm::ChitChat, seed).summary;
 
     // Identical workloads by construction.
     assert_eq!(standalone.created, arm.created);
@@ -69,10 +70,10 @@ fn baseline_arm_with_no_adversaries_equals_plain_population() {
     // With zero selfish/malicious fractions the behavior models are all
     // honest — the ChitChat arm must be unaffected by behavior machinery.
     let s = scenario();
-    let a = run_once(&s, Arm::ChitChat, 5).summary;
+    let a = run_arm(&s, Arm::ChitChat, 5).summary;
     let mut s2 = scenario();
     s2.selfish_fraction = 0.0;
     s2.malicious_fraction = 0.0;
-    let b = run_once(&s2, Arm::ChitChat, 5).summary;
+    let b = run_arm(&s2, Arm::ChitChat, 5).summary;
     assert_eq!(a, b);
 }

@@ -1,14 +1,14 @@
 //! Cross-crate end-to-end tests: the full stack (workload synthesis →
 //! simulation → protocol → statistics) exercised at small scale.
 
-use dtn_integration_tests::fast_scenario;
+use dtn_integration_tests::{fast_scenario, run_arm};
 use dtn_workloads::prelude::*;
 
 #[test]
 fn both_arms_run_to_completion_and_deliver() {
     let s = fast_scenario();
     for arm in Arm::BOTH {
-        let run = run_once(&s, arm, 42);
+        let run = run_arm(&s, arm, 42);
         assert!(run.summary.created > 10, "{arm:?}: workload generated");
         assert!(
             run.summary.delivery_ratio > 0.0,
@@ -22,8 +22,8 @@ fn both_arms_run_to_completion_and_deliver() {
 #[test]
 fn incentive_arm_moves_tokens_chitchat_arm_does_not() {
     let s = fast_scenario();
-    let inc = run_once(&s, Arm::Incentive, 42);
-    let cc = run_once(&s, Arm::ChitChat, 42);
+    let inc = run_arm(&s, Arm::Incentive, 42);
+    let cc = run_arm(&s, Arm::ChitChat, 42);
     assert!(inc.protocol.settlements > 0);
     assert!(inc.protocol.tokens_awarded > 0.0);
     assert_eq!(cc.protocol.settlements, 0);
@@ -39,8 +39,8 @@ fn identical_workload_across_arms() {
     // The paired-comparison guarantee: same seed → same created messages
     // and the same expected destination sets in both arms.
     let s = fast_scenario();
-    let inc = run_once(&s, Arm::Incentive, 7);
-    let cc = run_once(&s, Arm::ChitChat, 7);
+    let inc = run_arm(&s, Arm::Incentive, 7);
+    let cc = run_arm(&s, Arm::ChitChat, 7);
     assert_eq!(inc.summary.created, cc.summary.created);
     assert_eq!(inc.summary.expected_pairs, cc.summary.expected_pairs);
 }
@@ -73,7 +73,7 @@ fn incentive_mdr_stays_close_to_chitchat() {
     let mut s = fast_scenario();
     s.selfish_fraction = 0.4;
     s.protocol.enrichment_enabled = false; // isolate the economic effect
-    let cmp = compare_arms(&s, &[1, 2, 3]);
+    let cmp = compare(&s, BackendKind::ChitChat, &[1, 2, 3]);
     assert!(cmp.incentive.delivery_ratio > 0.0);
     assert!(
         cmp.mdr_gap().abs() < 0.15,
@@ -88,7 +88,7 @@ fn malicious_population_is_recognized_end_to_end() {
     let mut s = fast_scenario();
     s.malicious_fraction = 0.25;
     s.protocol.rating_prob = 0.5;
-    let mut sim = build_simulation(&s, Arm::Incentive, 5);
+    let mut sim = build_simulation_opts(&s, Arm::Incentive, 5, None, None, false);
     let _ = sim.run_until(dtn_sim::time::SimTime::from_secs(s.duration_secs));
     let (router, _) = sim.finish();
     let avg = router.malicious_average_rating();
@@ -102,8 +102,8 @@ fn malicious_population_is_recognized_end_to_end() {
 #[test]
 fn deterministic_end_to_end() {
     let s = fast_scenario();
-    let a = run_once(&s, Arm::Incentive, 99);
-    let b = run_once(&s, Arm::Incentive, 99);
+    let a = run_arm(&s, Arm::Incentive, 99);
+    let b = run_arm(&s, Arm::Incentive, 99);
     assert_eq!(a.summary, b.summary);
     assert_eq!(a.protocol, b.protocol);
     assert_eq!(a.broke_nodes, b.broke_nodes);
@@ -116,7 +116,7 @@ fn buffer_pressure_is_survivable() {
     let mut s = fast_scenario();
     s.buffer_bytes = 3_000_000; // three 1 MB messages
     s.message_interval_secs = 10.0;
-    let run = run_once(&s, Arm::Incentive, 3);
+    let run = run_arm(&s, Arm::Incentive, 3);
     assert!(
         run.summary.buffer_evictions > 0,
         "evictions actually happened"
@@ -128,7 +128,7 @@ fn buffer_pressure_is_survivable() {
 fn short_ttl_expires_messages() {
     let mut s = fast_scenario();
     s.message_ttl_secs = 120.0;
-    let run = run_once(&s, Arm::Incentive, 3);
+    let run = run_arm(&s, Arm::Incentive, 3);
     assert!(run.summary.ttl_expiries > 0, "TTL sweep engaged");
 }
 
@@ -136,7 +136,7 @@ fn short_ttl_expires_messages() {
 fn zero_token_economy_blocks_all_interested_reception() {
     let mut s = fast_scenario();
     s.protocol.incentive.initial_tokens = 0.0;
-    let run = run_once(&s, Arm::Incentive, 3);
+    let run = run_arm(&s, Arm::Incentive, 3);
     assert_eq!(
         run.summary.delivered_pairs, 0,
         "no destination can ever afford a reception"

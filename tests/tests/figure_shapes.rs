@@ -45,7 +45,7 @@ fn fig5_2_shape_saving_grows_with_selfishness() {
     let reduction_at = |frac: f64| {
         let mut s = fast_scenario();
         s.selfish_fraction = frac;
-        compare_arms(&s, &SAVING_SEEDS).traffic_reduction_pct()
+        compare(&s, BackendKind::ChitChat, &SAVING_SEEDS).traffic_reduction_pct()
     };
     let low = reduction_at(0.0);
     let high = reduction_at(0.4);
@@ -101,7 +101,7 @@ fn fig5_5_shape_density_helps_and_closes_the_gap() {
         let mut s = fast_scenario();
         s.nodes = nodes;
         s.selfish_fraction = 0.3;
-        compare_arms(&s, &SEEDS)
+        compare(&s, BackendKind::ChitChat, &SEEDS)
     };
     let sparse = cmp_at(12);
     let dense = cmp_at(36);
@@ -127,7 +127,7 @@ fn fig5_6_shape_high_priority_favored() {
     // Contention so prioritization matters: small buffers.
     s.buffer_bytes = 8_000_000;
     s.message_interval_secs = 10.0;
-    let cmp = compare_arms(&s, &SEEDS);
+    let cmp = compare(&s, BackendKind::ChitChat, &SEEDS);
     let inc_high = cmp.incentive.delivery_ratio_by_priority[&1];
     let inc_low = cmp
         .incentive

@@ -199,8 +199,12 @@ impl serde::Deserialize for RawValue {
 /// One golden record: everything the refactor must preserve about a run.
 fn capture(scenario: &Scenario, arm: Arm, seed: u64) -> serde_json::Value {
     use serde::Serialize as _;
-    let (run, trace) = dtn_workloads::runner::run_once_traced(scenario, arm, seed, Some(1_000_000));
-    let trace = trace.expect("trace requested");
+    let traced = RunOpts {
+        trace_capacity: Some(1_000_000),
+        ..RunOpts::default()
+    };
+    let out = run(&Cell::arm(scenario.clone(), arm, seed), traced);
+    let (run, trace) = (out.run, out.trace.expect("trace requested"));
     serde_json::Value::Map(vec![
         (
             "trace_fnv128".to_string(),

@@ -16,7 +16,6 @@ use dtn_sim::events::KernelMode;
 use dtn_sim::snapshot::SnapshotError;
 use dtn_sim::time::SimTime;
 use dtn_workloads::prelude::*;
-use dtn_workloads::runner::{build_simulation_opts, run_once_checked};
 
 const TRACE_CAPACITY: usize = 200_000;
 const SEEDS: [u64; 3] = [101, 202, 303];
@@ -32,7 +31,13 @@ fn observable_output(
 ) -> (String, String) {
     let mut s = scenario.clone();
     s.kernel_mode = Some(mode);
-    let (run, trace) = run_once_checked(&s, arm, seed, Some(TRACE_CAPACITY), Some(60));
+    let opts = RunOpts {
+        trace_capacity: Some(TRACE_CAPACITY),
+        check_every: Some(60),
+        profile: false,
+    };
+    let out = run(&Cell::arm(s, arm, seed), opts);
+    let (run, trace) = (out.run, out.trace);
     let summary = serde_json::to_string(&run.summary).expect("summary serializes");
     let protocol = format!("{:?}", run.protocol);
     (trace.expect("trace attached"), summary + &protocol)

@@ -3,10 +3,15 @@
 //! round-trip with the fields downstream tooling depends on.
 
 use dtn_integration_tests::fast_scenario;
-use dtn_workloads::runner::{
-    compare_arms, compare_arms_perf, run_once_perf, run_seeds, run_seeds_perf, PerfReport,
+use dtn_sim::stats::RunSummary;
+use dtn_workloads::prelude::*;
+
+/// Profiling on, everything else off.
+const PROFILED: RunOpts = RunOpts {
+    trace_capacity: None,
+    check_every: None,
+    profile: true,
 };
-use dtn_workloads::scenario::Arm;
 
 /// The golden non-perturbation guarantee at workload level: a profiled
 /// multi-seed aggregate equals the unprofiled one exactly, field for
@@ -15,8 +20,8 @@ use dtn_workloads::scenario::Arm;
 fn profiled_comparison_is_byte_identical_to_unprofiled() {
     let scenario = fast_scenario();
     let seeds = [101, 202];
-    let plain = compare_arms(&scenario, &seeds);
-    let (profiled, perf) = compare_arms_perf(&scenario, &seeds);
+    let plain = compare(&scenario, BackendKind::ChitChat, &seeds);
+    let (profiled, perf) = compare_perf(&scenario, BackendKind::ChitChat, &seeds);
     assert_eq!(
         serde_json::to_string(&plain.incentive).expect("json"),
         serde_json::to_string(&profiled.incentive).expect("json"),
@@ -36,7 +41,9 @@ fn profiled_comparison_is_byte_identical_to_unprofiled() {
 #[test]
 fn perf_report_json_round_trips() {
     let scenario = fast_scenario();
-    let (_, report) = run_once_perf(&scenario, Arm::Incentive, 101);
+    let report = run(&Cell::arm(scenario, Arm::Incentive, 101), PROFILED)
+        .perf
+        .expect("profiled");
     let json = serde_json::to_string_pretty(&report).expect("serializes");
     let back: PerfReport = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(back.runs, 1);
@@ -59,7 +66,21 @@ fn perf_aggregate_matches_parallel_aggregate() {
     let scenario = fast_scenario();
     let seeds = [101, 202, 303];
     let parallel = run_seeds(&scenario, Arm::Incentive, &seeds);
-    let (sequential, report) = run_seeds_perf(&scenario, Arm::Incentive, &seeds);
+    let mut summaries = Vec::new();
+    let mut report: Option<PerfReport> = None;
+    for seed in seeds {
+        let out = run(&Cell::arm(scenario.clone(), Arm::Incentive, seed), PROFILED);
+        let perf = out.perf.expect("profiled");
+        match &mut report {
+            Some(r) => r.merge(&perf),
+            None => report = Some(perf),
+        }
+        summaries.push(out.run.summary);
+    }
+    let (sequential, report) = (
+        RunSummary::mean_of(&summaries),
+        report.expect("three seeds"),
+    );
     assert_eq!(
         serde_json::to_string(&parallel).expect("json"),
         serde_json::to_string(&sequential).expect("json"),

@@ -16,11 +16,32 @@
 use dtn_integration_tests::fast_scenario;
 use dtn_sim::faults::FaultPlan;
 use dtn_workloads::prelude::*;
-use dtn_workloads::runner::{run_backend_checked, run_once_checked};
 use proptest::prelude::*;
 
 /// Audit cadence: every 15 simulated steps (same as the chaos suite).
 const AUDIT_EVERY: u64 = 15;
+
+/// Runs one grid cell on the `Box<dyn RouterBackend>` build. The cell is
+/// constructed directly rather than through `Cell::backend`, which would
+/// canonicalize ChitChat back to the static arm build.
+fn run_grid_cell(
+    s: &Scenario,
+    backend: BackendKind,
+    overlay: Overlay,
+    seed: u64,
+    check_every: Option<u64>,
+) -> ArmRun {
+    let cell = Cell {
+        scenario: s.clone(),
+        kind: CellKind::Backend { backend, overlay },
+        seed,
+    };
+    let opts = RunOpts {
+        check_every,
+        ..RunOpts::default()
+    };
+    run(&cell, opts).run
+}
 
 /// A grid-sized world: Table 5.1 density, 16 nodes, 15 simulated minutes —
 /// small enough that the full 12-cell grid stays in test-suite budget,
@@ -40,7 +61,7 @@ fn every_grid_cell_survives_chaos_with_the_audit_on() {
     s.chaos = Some("cut=10,cutdown=20,loss=0.05".parse().expect("valid spec"));
     for &backend in BackendKind::ALL.iter() {
         for &overlay in Overlay::BOTH.iter() {
-            let run = run_backend_checked(&s, backend, overlay, 42, Some(AUDIT_EVERY));
+            let run = run_grid_cell(&s, backend, overlay, 42, Some(AUDIT_EVERY));
             let ratio = run.summary.delivery_ratio;
             assert!(
                 ratio.is_finite() && (0.0..=1.0).contains(&ratio),
@@ -66,9 +87,12 @@ fn chitchat_backend_reproduces_the_paper_arms_byte_for_byte() {
     // arm path, closing the loop.
     let s = grid_scenario();
     for &overlay in Overlay::BOTH.iter() {
-        let via_backend =
-            run_backend_checked(&s, BackendKind::ChitChat, overlay, 7, Some(AUDIT_EVERY));
-        let via_arm = run_once_checked(&s, arm_for(overlay), 7, None, Some(AUDIT_EVERY)).0;
+        let via_backend = run_grid_cell(&s, BackendKind::ChitChat, overlay, 7, Some(AUDIT_EVERY));
+        let audited = RunOpts {
+            check_every: Some(AUDIT_EVERY),
+            ..RunOpts::default()
+        };
+        let via_arm = run(&Cell::arm(s.clone(), arm_for(overlay), 7), audited).run;
         assert_eq!(
             via_backend.summary,
             via_arm.summary,
@@ -96,8 +120,8 @@ fn grid_cells_replay_byte_for_byte() {
         (BackendKind::Prophet, Overlay::On),
         (BackendKind::SprayAndWait(8), Overlay::Off),
     ] {
-        let a = run_backend_checked(&s, backend, overlay, 101, Some(AUDIT_EVERY));
-        let b = run_backend_checked(&s, backend, overlay, 101, Some(AUDIT_EVERY));
+        let a = run_grid_cell(&s, backend, overlay, 101, Some(AUDIT_EVERY));
+        let b = run_grid_cell(&s, backend, overlay, 101, Some(AUDIT_EVERY));
         assert_eq!(a.summary, b.summary, "{}: kernel replay", backend.tag());
         assert_eq!(
             a.protocol,
@@ -115,7 +139,7 @@ fn relay_volumes_order_sanely_across_backends() {
     // in between (inclusive — small worlds can saturate it).
     let s = grid_scenario();
     let relays = |kind| {
-        run_backend_checked(&s, kind, Overlay::Off, 5, None)
+        run_grid_cell(&s, kind, Overlay::Off, 5, None)
             .summary
             .relays_completed
     };
@@ -211,7 +235,7 @@ proptest! {
         s.chaos = Some(plan);
         let backend = BackendKind::ALL[backend_idx];
         let overlay = if overlay_on { Overlay::On } else { Overlay::Off };
-        let run = run_backend_checked(&s, backend, overlay, seed, Some(1));
+        let run = run_grid_cell(&s, backend, overlay, seed, Some(1));
         let ratio = run.summary.delivery_ratio;
         prop_assert!(
             ratio.is_finite() && (0.0..=1.0).contains(&ratio),
