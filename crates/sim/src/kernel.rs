@@ -23,7 +23,7 @@ use crate::geometry::{Area, Point};
 use crate::invariants::{self, InvariantChecker, InvariantCheckerState};
 use crate::message::{Keyword, MessageBody, MessageCopy, MessageId, Priority, Quality};
 use crate::metrics::{KernelCounters, MetricsRegistry, Phase, PhaseProfiler};
-use crate::mobility::{MobilityModel, RandomWaypointFleet};
+use crate::mobility::MobilityModel;
 use crate::protocol::{Protocol, Reception};
 use crate::radio::RadioConfig;
 use crate::rng::{RngState, SimRng};
@@ -839,28 +839,25 @@ impl SimulationBuilder {
             .zip(node_rngs.iter_mut())
             .map(|(m, r)| m.initial_position(self.area, r))
             .collect();
-        let grid_cell = self.radio.range_m.max(1.0);
-        // SoA fast path: a homogeneous Random Waypoint population (the
-        // paper's only mobility model) packs into column vectors; mixed
-        // populations keep the boxed models. Both layouts step nodes
-        // byte-identically.
-        let mobility = match RandomWaypointFleet::from_models(&self.mobilities) {
-            Some(fleet) => MobilityStore::Fleet(fleet),
-            None => MobilityStore::Boxed(self.mobilities),
+        let contact_core = match self.kernel_mode {
+            KernelMode::EventDriven => {
+                let vmax: Vec<f64> = self
+                    .mobilities
+                    .iter()
+                    .map(|m| m.speed_cap_m_s().unwrap_or(f64::INFINITY))
+                    .collect();
+                ContactCore::Events(Box::new(ContactEngine::new(
+                    self.area,
+                    self.radio.range_m,
+                    self.step.as_secs(),
+                    &positions,
+                    vmax,
+                )))
+            }
+            KernelMode::TimeStepped => {
+                ContactCore::Sweep(SpatialGrid::new(self.area, self.radio.range_m.max(1.0)))
+            }
         };
-        let contact_engine = (self.kernel_mode == KernelMode::EventDriven).then(|| {
-            let vmax: Vec<f64> = (0..n)
-                .map(|i| mobility.speed_cap(i).unwrap_or(f64::INFINITY))
-                .collect();
-            ContactEngine::new(
-                self.area,
-                self.radio.range_m,
-                self.step.as_secs(),
-                &positions,
-                vmax,
-            )
-        });
-        let grid = SpatialGrid::new(self.area, grid_cell);
         let faults = self
             .faults
             .map(|plan| FaultInjector::new(plan, &rng_root, n));
@@ -897,11 +894,9 @@ impl SimulationBuilder {
                 rng_root,
             },
             protocol,
-            mobility,
+            mobilities: self.mobilities,
             node_rngs,
-            grid,
-            kernel_mode: self.kernel_mode,
-            contact_engine,
+            contact_core,
             scratch_in_range: Vec::new(),
             schedule: self.schedule,
             next_scheduled: 0,
@@ -995,47 +990,15 @@ pub struct WorldState {
     pub protocol: serde::Value,
 }
 
-/// Per-node mobility state in one of two layouts: boxed trait objects
-/// (heterogeneous populations) or the struct-of-arrays
-/// [`RandomWaypointFleet`] (homogeneous Random Waypoint worlds — every
-/// scenario in the paper). The layouts step nodes byte-identically and
-/// write interchangeable snapshot documents; the fleet is purely a
-/// cache-density and dispatch win on the mobility hot path.
+/// A world's contact-detection core: one per [`KernelMode`].
 #[derive(Debug)]
-enum MobilityStore {
-    Boxed(Vec<Box<dyn MobilityModel>>),
-    Fleet(RandomWaypointFleet),
-}
-
-impl MobilityStore {
-    fn len(&self) -> usize {
-        match self {
-            MobilityStore::Boxed(models) => models.len(),
-            MobilityStore::Fleet(fleet) => fleet.len(),
-        }
-    }
-
-    /// Node `i`'s displacement bound, m/s, if its model promises one.
-    fn speed_cap(&self, i: usize) -> Option<f64> {
-        match self {
-            MobilityStore::Boxed(models) => models[i].speed_cap_m_s(),
-            MobilityStore::Fleet(fleet) => Some(fleet.speed_cap(i)),
-        }
-    }
-
-    fn snapshot_state(&self, i: usize) -> serde::Value {
-        match self {
-            MobilityStore::Boxed(models) => models[i].snapshot_state(),
-            MobilityStore::Fleet(fleet) => fleet.snapshot_state(i),
-        }
-    }
-
-    fn restore_state(&mut self, i: usize, doc: &serde::Value) -> Result<(), String> {
-        match self {
-            MobilityStore::Boxed(models) => models[i].restore_state(doc),
-            MobilityStore::Fleet(fleet) => fleet.restore_state(i, doc),
-        }
-    }
+enum ContactCore {
+    /// The predicted-crossing scheduler ([`KernelMode::EventDriven`]).
+    /// Derived state — rebuilt, not serialized, on snapshot restore.
+    Events(Box<ContactEngine>),
+    /// The whole-world grid sweep ([`KernelMode::TimeStepped`]), rebuilt
+    /// from positions every step.
+    Sweep(SpatialGrid),
 }
 
 /// A running simulation: kernel state plus the protocol under test.
@@ -1043,15 +1006,9 @@ impl MobilityStore {
 pub struct Simulation<P> {
     api: SimApi,
     protocol: P,
-    mobility: MobilityStore,
+    mobilities: Vec<Box<dyn MobilityModel>>,
     node_rngs: Vec<SimRng>,
-    grid: SpatialGrid,
-    /// Which contact-detection core this world runs on.
-    kernel_mode: KernelMode,
-    /// The predicted-crossing scheduler; present iff the mode is
-    /// [`KernelMode::EventDriven`]. Derived state — rebuilt, not
-    /// serialized, on snapshot restore.
-    contact_engine: Option<ContactEngine>,
+    contact_core: ContactCore,
     /// In-range pair buffer reused across steps (was allocated per step).
     scratch_in_range: Vec<ContactKey>,
     schedule: Vec<ScheduledMessage>,
@@ -1090,7 +1047,10 @@ impl<P: Protocol> Simulation<P> {
     /// Which contact-detection core this world runs on.
     #[must_use]
     pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel_mode
+        match self.contact_core {
+            ContactCore::Events(_) => KernelMode::EventDriven,
+            ContactCore::Sweep(_) => KernelMode::TimeStepped,
+        }
     }
 
     /// The attached fault plan, if any.
@@ -1177,7 +1137,7 @@ impl<P: Protocol> Simulation<P> {
         WorldState {
             seed: self.seed,
             node_count: self.api.positions.len() as u64,
-            kernel_mode: self.kernel_mode,
+            kernel_mode: self.kernel_mode(),
             now: self.api.now,
             last_sweep: self.last_sweep,
             started: self.started,
@@ -1187,9 +1147,7 @@ impl<P: Protocol> Simulation<P> {
             positions: self.api.positions.clone(),
             rng_root: self.api.rng_root.state(),
             node_rngs: self.node_rngs.iter().map(SimRng::state).collect(),
-            mobility: (0..self.mobility.len())
-                .map(|i| self.mobility.snapshot_state(i))
-                .collect(),
+            mobility: self.mobilities.iter().map(|m| m.snapshot_state()).collect(),
             buffers: self.api.buffers.iter().map(Buffer::export_state).collect(),
             bodies,
             contacts: self.api.contacts.export_state(),
@@ -1234,10 +1192,11 @@ impl<P: Protocol> Simulation<P> {
                 state.node_count
             )));
         }
-        if state.kernel_mode != self.kernel_mode {
+        if state.kernel_mode != self.kernel_mode() {
             return Err(mismatch(format!(
                 "snapshot was taken on the {} core, this world runs {}",
-                state.kernel_mode, self.kernel_mode
+                state.kernel_mode,
+                self.kernel_mode()
             )));
         }
         for (name, len) in [
@@ -1314,9 +1273,9 @@ impl<P: Protocol> Simulation<P> {
         for (rng, s) in self.node_rngs.iter_mut().zip(&state.node_rngs) {
             *rng = SimRng::from_state(*s);
         }
-        for (i, doc) in state.mobility.iter().enumerate() {
-            self.mobility
-                .restore_state(i, doc)
+        for (i, (model, doc)) in self.mobilities.iter_mut().zip(&state.mobility).enumerate() {
+            model
+                .restore_state(doc)
                 .map_err(|e| mismatch(format!("node {i} mobility: {e}")))?;
         }
         if let (Some(scheduler), Some(doc)) = (self.retries.as_mut(), state.retries.as_ref()) {
@@ -1343,7 +1302,7 @@ impl<P: Protocol> Simulation<P> {
         // The predicted-crossing watch set is derived state: rebuilding a
         // fresh (superset) watch set from the restored positions yields
         // the same exact in-range list as the uninterrupted engine.
-        if let Some(engine) = self.contact_engine.as_mut() {
+        if let ContactCore::Events(engine) = &mut self.contact_core {
             engine.rebuild(&self.api.positions, state.counters.steps);
         }
         Ok(())
@@ -1378,26 +1337,14 @@ impl<P: Protocol> Simulation<P> {
         // 1. Movement. Each node's next position depends only on its own
         // mobility state and its own RNG stream (`node_rngs[i]`).
         let scope = self.profiler.start();
-        match &mut self.mobility {
-            MobilityStore::Fleet(fleet) => {
-                fleet.step_all(
-                    &mut self.api.positions,
-                    &mut self.node_rngs,
-                    dt,
-                    self.api.area,
-                );
-            }
-            MobilityStore::Boxed(mobilities) => {
-                for ((p, m), r) in self
-                    .api
-                    .positions
-                    .iter_mut()
-                    .zip(mobilities.iter_mut())
-                    .zip(self.node_rngs.iter_mut())
-                {
-                    *p = m.step(*p, dt, self.api.area, r);
-                }
-            }
+        for ((p, m), r) in self
+            .api
+            .positions
+            .iter_mut()
+            .zip(self.mobilities.iter_mut())
+            .zip(self.node_rngs.iter_mut())
+        {
+            *p = m.step(*p, dt, self.api.area, r);
         }
         self.profiler.stop(Phase::Mobility, scope);
 
@@ -1454,23 +1401,23 @@ impl<P: Protocol> Simulation<P> {
         self.scratch_in_range.clear();
         let energy = &self.api.energy;
         let positions = &self.api.positions;
-        if let Some(engine) = self.contact_engine.as_mut() {
-            engine.collect(
+        match &mut self.contact_core {
+            ContactCore::Events(engine) => engine.collect(
                 self.api.counters.steps,
                 positions,
                 energy,
                 &mut self.scratch_in_range,
-            );
-        } else {
-            self.grid.rebuild(positions);
-            let in_range = &mut self.scratch_in_range;
-            self.grid
-                .for_each_pair_within(positions, self.api.radio.range_m, |a, b| {
+            ),
+            ContactCore::Sweep(grid) => {
+                grid.rebuild(positions);
+                let in_range = &mut self.scratch_in_range;
+                grid.for_each_pair_within(positions, self.api.radio.range_m, |a, b| {
                     // A depleted radio forms no links (finite-battery model).
                     if !energy.is_depleted(a) && !energy.is_depleted(b) {
                         in_range.push(ContactKey(a, b));
                     }
                 });
+            }
         }
         self.scratch_in_range.sort_unstable();
         // 2b. Link-level fault injection: crashed nodes form no links,

@@ -54,13 +54,6 @@ pub trait MobilityModel: std::fmt::Debug + Send {
     fn speed_cap_m_s(&self) -> Option<f64> {
         None
     }
-
-    /// Downcast hook for the struct-of-arrays fast path: models that are
-    /// plain [`RandomWaypoint`] walkers return themselves so a homogeneous
-    /// population can be packed into a [`RandomWaypointFleet`].
-    fn as_random_waypoint(&self) -> Option<&RandomWaypoint> {
-        None
-    }
 }
 
 /// The Random Waypoint model: pick a uniform destination, walk to it at a
@@ -188,210 +181,6 @@ impl MobilityModel for RandomWaypoint {
 
     fn speed_cap_m_s(&self) -> Option<f64> {
         Some(self.max_speed)
-    }
-
-    fn as_random_waypoint(&self) -> Option<&RandomWaypoint> {
-        Some(self)
-    }
-}
-
-/// A homogeneous Random Waypoint population in struct-of-arrays layout.
-///
-/// The kernel's mobility phase walks every node every step; with boxed
-/// trait objects that is a pointer chase per node. When every node is a
-/// plain [`RandomWaypoint`] (the paper's only mobility model), the walk
-/// state packs into parallel columns — one cache line serves several
-/// nodes, and the walk needs no `dyn` dispatch.
-///
-/// The per-node step logic is an exact replica of
-/// [`RandomWaypoint::step`]: the same RNG draws in the same order, the
-/// same floating-point expressions. A fleet-stepped world is
-/// byte-identical to a boxed-model world (asserted in tests), and
-/// per-node snapshot documents round-trip across the two layouts.
-#[derive(Debug, Clone)]
-pub struct RandomWaypointFleet {
-    min_speed: Vec<f64>,
-    max_speed: Vec<f64>,
-    max_pause: Vec<f64>,
-    /// Walk phase per node: [`FLEET_NEED_TARGET`] / [`FLEET_WALKING`] /
-    /// [`FLEET_PAUSED`].
-    phase: Vec<u8>,
-    target: Vec<Point>,
-    speed: Vec<f64>,
-    remaining: Vec<f64>,
-}
-
-const FLEET_NEED_TARGET: u8 = 0;
-const FLEET_WALKING: u8 = 1;
-const FLEET_PAUSED: u8 = 2;
-
-impl RandomWaypointFleet {
-    /// Packs `models` into a fleet when every one is a [`RandomWaypoint`]
-    /// (any parameters, any mid-walk state); `None` as soon as one is not.
-    #[must_use]
-    pub fn from_models(models: &[Box<dyn MobilityModel>]) -> Option<Self> {
-        let mut fleet = RandomWaypointFleet {
-            min_speed: Vec::with_capacity(models.len()),
-            max_speed: Vec::with_capacity(models.len()),
-            max_pause: Vec::with_capacity(models.len()),
-            phase: Vec::with_capacity(models.len()),
-            target: Vec::with_capacity(models.len()),
-            speed: Vec::with_capacity(models.len()),
-            remaining: Vec::with_capacity(models.len()),
-        };
-        for model in models {
-            let w = model.as_random_waypoint()?;
-            fleet.min_speed.push(w.min_speed);
-            fleet.max_speed.push(w.max_speed);
-            fleet.max_pause.push(w.max_pause_secs);
-            let (phase, target, speed, remaining) = match &w.state {
-                WaypointState::NeedTarget => (FLEET_NEED_TARGET, Point::ORIGIN, 0.0, 0.0),
-                WaypointState::Walking { target, speed } => (FLEET_WALKING, *target, *speed, 0.0),
-                WaypointState::Paused { remaining } => {
-                    (FLEET_PAUSED, Point::ORIGIN, 0.0, *remaining)
-                }
-            };
-            fleet.phase.push(phase);
-            fleet.target.push(target);
-            fleet.speed.push(speed);
-            fleet.remaining.push(remaining);
-        }
-        Some(fleet)
-    }
-
-    /// Number of nodes in the fleet.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.phase.len()
-    }
-
-    /// Whether the fleet is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.phase.is_empty()
-    }
-
-    /// Node `i`'s speed cap (its `max_speed`).
-    #[must_use]
-    pub fn speed_cap(&self, i: usize) -> f64 {
-        self.max_speed[i]
-    }
-
-    /// Advances every node by `dt`, writing new positions in place. The
-    /// per-node step must mirror [`RandomWaypoint::step`] exactly — same
-    /// draws, same arithmetic, same order — or fleet and boxed worlds
-    /// drift apart.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `positions` or `rngs` disagree with the fleet length.
-    pub fn step_all(
-        &mut self,
-        positions: &mut [Point],
-        rngs: &mut [SimRng],
-        dt: SimDuration,
-        area: Area,
-    ) {
-        assert_eq!(positions.len(), self.len(), "one position per node");
-        assert_eq!(rngs.len(), self.len(), "one RNG stream per node");
-        let RandomWaypointFleet {
-            min_speed,
-            max_speed,
-            max_pause,
-            phase,
-            target,
-            speed,
-            remaining,
-        } = self;
-        for i in 0..positions.len() {
-            let rng = &mut rngs[i];
-            let mut pos = positions[i];
-            let mut budget = dt.as_secs();
-            while budget > 0.0 {
-                match phase[i] {
-                    FLEET_NEED_TARGET => {
-                        target[i] =
-                            Point::new(rng.uniform(0.0, area.width), rng.uniform(0.0, area.height));
-                        speed[i] = if max_speed[i] > min_speed[i] {
-                            rng.uniform(min_speed[i], max_speed[i])
-                        } else {
-                            min_speed[i]
-                        };
-                        phase[i] = FLEET_WALKING;
-                    }
-                    FLEET_WALKING => {
-                        let dist_left = pos.distance_to(target[i]);
-                        let dist_possible = speed[i] * budget;
-                        if dist_possible >= dist_left {
-                            pos = target[i];
-                            budget -= if speed[i] > 0.0 {
-                                dist_left / speed[i]
-                            } else {
-                                budget
-                            };
-                            remaining[i] = if max_pause[i] > 0.0 {
-                                rng.uniform(0.0, max_pause[i])
-                            } else {
-                                0.0
-                            };
-                            phase[i] = FLEET_PAUSED;
-                        } else {
-                            pos = pos.step_toward(target[i], dist_possible);
-                            budget = 0.0;
-                        }
-                    }
-                    _ => {
-                        if remaining[i] > budget {
-                            remaining[i] -= budget;
-                            budget = 0.0;
-                        } else {
-                            budget -= remaining[i];
-                            phase[i] = FLEET_NEED_TARGET;
-                        }
-                    }
-                }
-            }
-            positions[i] = pos;
-        }
-    }
-
-    /// Node `i`'s walk state as the same opaque document a boxed
-    /// [`RandomWaypoint`] writes, so snapshots are layout-independent.
-    #[must_use]
-    pub fn snapshot_state(&self, i: usize) -> serde::Value {
-        let state = match self.phase[i] {
-            FLEET_NEED_TARGET => WaypointState::NeedTarget,
-            FLEET_WALKING => WaypointState::Walking {
-                target: self.target[i],
-                speed: self.speed[i],
-            },
-            _ => WaypointState::Paused {
-                remaining: self.remaining[i],
-            },
-        };
-        state.to_value()
-    }
-
-    /// Restores node `i`'s walk state from a document written by either
-    /// layout.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the mismatch when `state` is not a
-    /// Random Waypoint walk document.
-    pub fn restore_state(&mut self, i: usize, state: &serde::Value) -> Result<(), String> {
-        let state = WaypointState::from_value(state)
-            .map_err(|e| format!("random-waypoint state does not parse: {e}"))?;
-        let (phase, target, speed, remaining) = match state {
-            WaypointState::NeedTarget => (FLEET_NEED_TARGET, Point::ORIGIN, 0.0, 0.0),
-            WaypointState::Walking { target, speed } => (FLEET_WALKING, target, speed, 0.0),
-            WaypointState::Paused { remaining } => (FLEET_PAUSED, Point::ORIGIN, 0.0, remaining),
-        };
-        self.phase[i] = phase;
-        self.target[i] = target;
-        self.speed[i] = speed;
-        self.remaining[i] = remaining;
-        Ok(())
     }
 }
 
@@ -619,6 +408,55 @@ mod tests {
             // displacement can never exceed max speed × dt.
             assert!(next.distance_to(pos) <= 2.0 + 1e-9);
             pos = next;
+        }
+    }
+
+    #[test]
+    fn waypoint_snapshot_resumes_every_walk_phase_exactly() {
+        let area = Area::new(300.0, 300.0);
+        let dt = SimDuration::from_secs(1.0);
+        let phase_of = |s: &WaypointState| match s {
+            WaypointState::NeedTarget => "need-target",
+            WaypointState::Walking { .. } => "walking",
+            WaypointState::Paused { .. } => "paused",
+        };
+        for phase in ["need-target", "walking", "paused"] {
+            let mut live = RandomWaypoint::new(0.5, 1.5, 30.0);
+            let mut r = rng();
+            let mut pos = live.initial_position(area, &mut r);
+            let mut guard = 0;
+            while phase_of(&live.state) != phase {
+                pos = live.step(pos, dt, area, &mut r);
+                guard += 1;
+                assert!(guard < 100_000, "walker never entered the {phase} phase");
+            }
+            let mut resumed = RandomWaypoint::new(0.5, 1.5, 30.0);
+            resumed
+                .restore_state(&live.snapshot_state())
+                .expect("a walker restores its own document");
+            let mut r_resumed = r.clone();
+            let mut pos_resumed = pos;
+            for step in 0..2_000 {
+                pos = live.step(pos, dt, area, &mut r);
+                pos_resumed = resumed.step(pos_resumed, dt, area, &mut r_resumed);
+                assert_eq!(pos, pos_resumed, "{phase}: diverged at step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn waypoint_rejects_malformed_state_documents() {
+        let mut m = RandomWaypoint::pedestrian();
+        for doc in [
+            serde::Value::Str("Teleporting".into()),
+            serde::Value::U64(3),
+            serde::Value::Seq(vec![serde::Value::F64(1.0)]),
+        ] {
+            assert!(
+                m.restore_state(&doc)
+                    .is_err_and(|e| e.contains("random-waypoint state does not parse")),
+                "{doc:?} was accepted"
+            );
         }
     }
 
